@@ -1,0 +1,5 @@
+//go:build purego
+
+package main
+
+const puregoBuild = true
