@@ -68,9 +68,8 @@ func run(args []string, out io.Writer) error {
 		pool      = fs.Bool("pool", false, "pool evaluation/solve scratch buffers (workspace.* counters)")
 		structure = fs.Bool("structure", false, "print the leaf-level block structure (Figure 2 style)")
 		dotFile   = fs.String("dot", "", "write the evaluation dependency DAG (Figure 3) to this file in DOT format")
-		saveFile  = fs.String("save", "", "serialize the compressed form to this file after compression")
 		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena + compiled plan, servable by gofmmd -store-dir) to this file after compression")
-		loadFile  = fs.String("load", "", "load a previously saved compression instead of compressing")
+		loadFile  = fs.String("load", "", "load an operator store written by -store instead of compressing")
 		traceFile = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto / chrome://tracing) to this file")
 		metrics   = fs.String("metrics", "", "write the telemetry metrics snapshot (counters, histograms, spans) as JSON to this file")
 		report    = fs.Bool("report", false, "print the telemetry phase/metric report after the run")
@@ -90,7 +89,7 @@ func run(args []string, out io.Writer) error {
 		degrade = fs.String("degrade", "truncate", "tolerance-miss policy: truncate|dense|strict")
 
 		chaosSeed   = fs.Int64("chaos-seed", 1, "deterministic fault-injection seed")
-		chaosTask   = fs.Float64("chaos-task-fail", 0, "probability a scheduled task fails and is retried")
+		chaosTask   = fs.Float64("chaos-task-fail", 0, "probability a scheduled task fails and is retried; compiled-plan evaluation (the default with caching) does not retry and surfaces an injected fault as an error")
 		chaosDrop   = fs.Float64("chaos-msg-drop", 0, "probability a simulated-MPI message is dropped in flight")
 		chaosCorr   = fs.Float64("chaos-msg-corrupt", 0, "probability a message fails the receiver checksum")
 		chaosDelay  = fs.Float64("chaos-msg-delay", 0, "probability a message is delayed")
@@ -237,43 +236,27 @@ func run(args []string, out io.Writer) error {
 
 	var h *core.Hierarchical
 	if *loadFile != "" {
-		f, ferr := os.Open(*loadFile)
-		if ferr != nil {
-			return ferr
-		}
-		h, err = core.ReadFrom(f, p.K)
-		f.Close()
+		h, _, err = core.LoadFrom(*loadFile, core.LoadOptions{
+			Exec: cfg.Exec, NumWorkers: cfg.NumWorkers,
+			Workspace: cfg.Workspace, Telemetry: cfg.Telemetry,
+		})
 		if err != nil {
 			return err
 		}
-		h.Cfg.Exec = cfg.Exec
-		h.Cfg.NumWorkers = cfg.NumWorkers
-		h.Cfg.Telemetry = cfg.Telemetry
-		h.Cfg.Workspace = cfg.Workspace
-		fmt.Fprintf(out, "loaded compressed form from %s\n", *loadFile)
+		if err := h.AttachOracle(p.K); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "loaded operator store from %s\n", *loadFile)
 	} else {
 		h, err = core.CompressCtx(ctx, p.K, cfg)
 		if err != nil {
 			return err
 		}
 	}
-	if *saveFile != "" {
-		f, ferr := os.Create(*saveFile)
-		if ferr != nil {
-			return ferr
-		}
-		if _, err := h.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "saved compressed form to %s\n", *saveFile)
-	}
 	if *storeFile != "" {
-		// Compile first so the store carries the replayable plan and a
-		// loaded operator serves without recompiling.
+		// Compile first so the store carries the replayable plan (a no-op
+		// unless -nocache left it uncompiled) and a loaded operator serves
+		// without recompiling.
 		if _, err := h.CompilePlanCtx(ctx); err != nil {
 			return err
 		}

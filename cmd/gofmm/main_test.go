@@ -73,22 +73,24 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/k.gofmm"
-	var sb strings.Builder
-	if err := run([]string{"-matrix", "K09", "-n", "128", "-m", "32", "-s", "16",
-		"-r", "1", "-exec", "seq", "-save", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "saved compressed form") {
-		t.Fatalf("save message missing:\n%s", sb.String())
-	}
-	sb.Reset()
-	if err := run([]string{"-matrix", "K09", "-n", "128", "-m", "32", "-s", "16",
-		"-r", "1", "-exec", "seq", "-load", path}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "loaded compressed form") {
-		t.Fatalf("load message missing:\n%s", sb.String())
+	for _, extra := range [][]string{nil, {"-nocache"}} {
+		path := dir + "/k.store"
+		base := append([]string{"-matrix", "K09", "-n", "128", "-m", "32", "-s", "16",
+			"-r", "1", "-exec", "seq"}, extra...)
+		var sb strings.Builder
+		if err := run(append(base, "-store", path), &sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "operator store to "+path) {
+			t.Fatalf("store message missing:\n%s", sb.String())
+		}
+		sb.Reset()
+		if err := run(append(base, "-load", path), &sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "loaded operator store") {
+			t.Fatalf("load message missing:\n%s", sb.String())
+		}
 	}
 }
 

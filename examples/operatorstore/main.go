@@ -30,14 +30,14 @@ func main() {
 	}
 	fmt.Printf("problem: %s (N = %d)\n", p.Name, p.K.Dim())
 
-	// Compress from the entry oracle and compile the evaluation plan — the
-	// slow path a store file exists to amortize. CacheBlocks is what makes
-	// the operator self-contained: the near/far blocks land in the file, so
-	// loading needs no oracle at all.
+	// Compress from the entry oracle — the slow path a store file exists to
+	// amortize. CacheBlocks is what makes the operator self-contained: the
+	// near/far blocks land in the file, so loading needs no oracle at all,
+	// and Compress compiles the evaluation plan that rides along with them.
 	t0 := time.Now()
 	H, err := gofmm.Compress(p.K, gofmm.Config{
 		LeafSize: 128, MaxRank: 128, Tol: 1e-5, Budget: 0.03,
-		Distance: gofmm.Angle, NumWorkers: 4, CacheBlocks: true, CompilePlan: true,
+		Distance: gofmm.Angle, NumWorkers: 4, CacheBlocks: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -331,11 +331,11 @@ type WorkspaceStats = workspace.Stats
 // NewWorkspacePool returns an empty workspace pool.
 func NewWorkspacePool() *WorkspacePool { return workspace.New() }
 
-// Evaluator owns reusable evaluation workspaces for repeated matvecs with a
-// fixed number of right-hand sides (the iterative-solver workload). Obtain
-// one with Hierarchical.NewEvaluator(r); MatvecInto then performs no heap
-// allocation in steady state. Close returns its buffers to the configured
-// workspace pool.
+// Evaluator is a handle for repeated matvecs with a fixed number of
+// right-hand sides (the iterative-solver workload). Obtain one with
+// Hierarchical.NewEvaluator(r). With the compiled plan installed (every
+// CacheBlocks compression) MatvecInto replays it and performs no heap
+// allocation in steady state; without one it runs the tree interpreter.
 type Evaluator = core.Evaluator
 
 // --- Batched evaluation --------------------------------------------------
@@ -368,11 +368,11 @@ var ErrEvaluatorClosed = core.ErrEvaluatorClosed
 
 // Plan is a compiled evaluation plan: the four-pass N2S/S2S/S2N/L2L
 // traversal lowered once into a flat, replayable schedule of kernel calls
-// with pre-resolved buffer offsets. Compile one with
-// Hierarchical.CompilePlan (or set Config.CompilePlan to compile during
-// Compress); subsequent Matvec/Matmat calls replay the plan instead of
-// re-walking the tree. The tree interpreter remains available as the
-// reference path through InterpMatvecCtx/InterpMatmatCtx.
+// with pre-resolved buffer offsets. Compress installs one whenever
+// Config.CacheBlocks is set (Hierarchical.CompilePlan compiles one for an
+// uncached operator, gathering its blocks); Matvec/Matmat then replay the
+// plan instead of re-walking the tree. The tree interpreter remains
+// available as the reference path through InterpMatvecCtx/InterpMatmatCtx.
 type Plan = plan.Plan
 
 // Counting wraps an SPD oracle with an entry-evaluation counter, the
@@ -382,21 +382,35 @@ type Counting = core.CountingSPD
 // NewCounting wraps K with an entry counter.
 func NewCounting(K SPD) *Counting { return core.NewCounting(K) }
 
-// Save serializes a compressed representation (structure, skeletons,
-// interpolation matrices, interaction lists, cached blocks — not the matrix
-// oracle itself).
+// Save writes a compressed representation to w as a gofmm.store/v1
+// operator store (structure, skeletons, interpolation matrices, interaction
+// lists, cached blocks in both precisions, the installed compiled plan —
+// not the matrix oracle itself). The bytes are exactly what
+// (*Hierarchical).SaveTo writes to a file.
 func Save(h *Hierarchical, w io.Writer) error {
-	_, err := h.WriteTo(w)
+	_, err := h.WriteStore(w)
 	return err
 }
 
-// Load reconstructs a compressed representation written by Save, attaching
-// it to the entry oracle K (the same matrix). Executor fields of the loaded
-// Cfg default to sequential; adjust before calling Matvec if desired.
-// Passing a nil oracle is allowed: the loaded operator evaluates from its
-// cached blocks alone and returns a typed error from any path that would
-// need fresh K(i,j) entries.
-func Load(r io.Reader, K SPD) (*Hierarchical, error) { return core.ReadFrom(r, K) }
+// Load reads an operator store written by Save (or SaveTo) from r and
+// attaches the entry oracle K (the same matrix). Executor fields of the
+// loaded Cfg default to sequential; adjust before calling Matvec if
+// desired. Passing a nil oracle is allowed: the loaded operator evaluates
+// from its cached blocks alone and returns a typed error from any path that
+// would need fresh K(i,j) entries. Malformed input returns an error
+// wrapping ErrInvalidInput.
+func Load(r io.Reader, K SPD) (*Hierarchical, error) {
+	h, _, err := core.ReadStore(r, core.LoadOptions{Exec: core.Sequential})
+	if err != nil {
+		return nil, err
+	}
+	if K != nil {
+		if err := h.AttachOracle(K); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
 
 // LoadOptions configures LoadOperator. See core.LoadOptions.
 type LoadOptions = core.LoadOptions

@@ -2,10 +2,12 @@ package gofmm
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"gofmm/internal/core"
 	"gofmm/internal/linalg"
 	"gofmm/krylov"
 	"gofmm/testmat"
@@ -59,30 +61,61 @@ func TestFactorRejectsFMMMode(t *testing.T) {
 	}
 }
 
+// TestSaveLoadThroughPublicAPI round-trips uncached, float64-cached and
+// CacheSingle operators through Save and Load(r, K): the loaded operator
+// evaluates bit-identically, and only the uncached one needs the oracle.
 func TestSaveLoadThroughPublicAPI(t *testing.T) {
 	p, err := testmat.Generate("K09", 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	H, err := Compress(p.K, Config{
-		LeafSize: 64, MaxRank: 32, Tol: 1e-6, Budget: 0.1,
-		Distance: Kernel, Exec: Sequential, Seed: 2, CacheBlocks: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Save(H, &buf); err != nil {
-		t.Fatal(err)
-	}
-	H2, err := Load(&buf, p.K)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
 	W := linalg.GaussianMatrix(rng, p.K.Dim(), 2)
-	if !linalg.EqualApprox(H.Matvec(W), H2.Matvec(W), 0) {
-		t.Fatal("loaded form gives a different matvec")
+	for _, tc := range []struct {
+		name               string
+		cache, cacheSingle bool
+	}{
+		{"uncached", false, false},
+		{"cached-f64", true, false},
+		{"cached-f32", true, true},
+	} {
+		H, err := Compress(p.K, Config{
+			LeafSize: 64, MaxRank: 32, Tol: 1e-6, Budget: 0.1,
+			Distance: Kernel, Exec: Sequential, Seed: 2,
+			CacheBlocks: tc.cache, CacheSingle: tc.cacheSingle,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Save(H, &buf); err != nil {
+			t.Fatal(err)
+		}
+		image := buf.Bytes()
+		H2, err := Load(bytes.NewReader(image), p.K)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := H.Matvec(W)
+		if !linalg.EqualApprox(want, H2.Matvec(W), 0) {
+			t.Fatalf("%s: loaded form gives a different matvec", tc.name)
+		}
+		// Without the oracle, only a fully cached operator can evaluate.
+		bare, err := Load(bytes.NewReader(image), nil)
+		if err != nil {
+			t.Fatalf("%s: oracle-free load: %v", tc.name, err)
+		}
+		got, err := bare.MatvecCtx(context.Background(), W)
+		if tc.cache {
+			if err != nil || !linalg.EqualApprox(want, got, 0) {
+				t.Fatalf("%s: oracle-free matvec differs (err %v)", tc.name, err)
+			}
+		} else if !errors.Is(err, core.ErrNoOracle) {
+			t.Fatalf("%s: oracle-free uncached matvec: got %v, want ErrNoOracle", tc.name, err)
+		}
+	}
+	if _, err := Load(bytes.NewReader([]byte("not a store")), p.K); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("garbage: got %v, want ErrInvalidInput", err)
 	}
 }
 

@@ -29,7 +29,8 @@ func determinismConfig(workers int) Config {
 	}
 }
 
-// serialize round-trips h through Save and returns the bytes.
+// serialize writes h through Save (the operator store) and returns the
+// bytes.
 func serialize(t *testing.T, h *Hierarchical) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -56,11 +57,21 @@ func bitIdentical(a, b *Matrix) bool {
 	return true
 }
 
+// TestDeterminismGolden pins the tree interpreter, the executor-comparison
+// path; TestPlanDeterminismGolden below pins the compiled replay.
 func TestDeterminismGolden(t *testing.T) {
 	const n, r = 384, 9
 	K := randomSPD(n, 777)
 	rng := rand.New(rand.NewSource(8))
 	X := linalg.GaussianMatrix(rng, n, r)
+	interp := func(h *Hierarchical) *Matrix {
+		t.Helper()
+		U, err := h.InterpMatmatCtx(context.Background(), X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return U
+	}
 
 	// Two independent compressions, same seed + config (4 workers each):
 	// the serialized trees must be byte-identical.
@@ -78,8 +89,8 @@ func TestDeterminismGolden(t *testing.T) {
 	}
 
 	// Two batched evaluations on the same operator: bit-identical.
-	U1 := h1.Matmat(X)
-	U2 := h1.Matmat(X)
+	U1 := interp(h1)
+	U2 := interp(h1)
 	if !bitIdentical(U1, U2) {
 		t.Fatal("Matmat is not bit-identical across two runs on the same operator")
 	}
@@ -87,7 +98,7 @@ func TestDeterminismGolden(t *testing.T) {
 	// The independently compressed operator must evaluate bit-identically
 	// too (its structure is byte-identical, so any difference would come
 	// from hidden state outside the serialized form).
-	if U := h2.Matmat(X); !bitIdentical(U1, U) {
+	if U := interp(h2); !bitIdentical(U1, U) {
 		t.Fatal("Matmat differs between two same-seed compressions")
 	}
 
@@ -102,7 +113,7 @@ func TestDeterminismGolden(t *testing.T) {
 		if bw := serialize(t, hw); !bytes.Equal(b1, bw) {
 			t.Fatalf("serialized tree differs between 4 and %d workers", workers)
 		}
-		if U := hw.Matmat(X); !bitIdentical(U1, U) {
+		if U := interp(hw); !bitIdentical(U1, U) {
 			t.Fatalf("Matmat differs between 4 and %d workers", workers)
 		}
 	}
@@ -112,7 +123,7 @@ func TestDeterminismGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if U := hs.Matmat(X); !bitIdentical(U1, U) {
+	if U := interp(hs); !bitIdentical(U1, U) {
 		t.Fatal("Matmat differs between dynamic and sequential executors")
 	}
 }
@@ -136,14 +147,12 @@ func TestPlanDeterminismGolden(t *testing.T) {
 
 	compile := func(workers int) *Hierarchical {
 		t.Helper()
-		cfg := determinismConfig(workers)
-		cfg.CompilePlan = true
-		h, err := Compress(NewDense(K), cfg)
+		h, err := Compress(NewDense(K), determinismConfig(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if h.Plan() == nil {
-			t.Fatal("CompilePlan did not install a plan")
+			t.Fatal("a CacheBlocks compression did not install a plan")
 		}
 		return h
 	}
@@ -193,7 +202,6 @@ func TestPlanDeterminismGolden(t *testing.T) {
 	// bits must not notice.
 	seq := determinismConfig(1)
 	seq.Exec = core.Sequential
-	seq.CompilePlan = true
 	hs, err := Compress(NewDense(K), seq)
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,9 @@ package gofmm
 // Two metamorphic identities ride along through the compiled path:
 // linearity (a plan is a fixed linear map) and column consistency (a width-r
 // replay's columns equal width-1 replays, even though the two widths
-// dispatch different kernels). The interpreter stays available after
-// compilation — it is the test oracle here and everywhere.
+// dispatch different kernels). The interpreter stays available next to the
+// plan — it is the test oracle here and everywhere — and it is the public
+// path of an uncached operator, which compiles nothing.
 
 import (
 	"context"
@@ -43,14 +44,12 @@ func planFixtures() []struct {
 	}
 }
 
-// planCompress compresses with Config.CompilePlan set, so the test also
-// covers the compile-during-Compress wiring, and verifies a plan installed.
-func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixedRank bool) *Hierarchical {
-	t.Helper()
+// planConfig is the cached fixture config of one grid point.
+func planConfig(dist core.Distance, tol float64, fixedRank bool) Config {
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Kappa: 8, Budget: 0.05,
 		Distance: dist, Exec: core.Sequential, Seed: 3, CacheBlocks: true,
-		Workspace: NewWorkspacePool(), CompilePlan: true,
+		Workspace: NewWorkspacePool(),
 	}
 	if fixedRank {
 		// An unreachable tolerance saturates every node at MaxRank.
@@ -59,12 +58,19 @@ func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixe
 	} else {
 		cfg.Tol = tol
 	}
-	h, err := Compress(NewDense(K), cfg)
+	return cfg
+}
+
+// planCompress compresses a grid point with cached blocks, so the test also
+// covers the compile-during-Compress wiring, and verifies a plan installed.
+func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixedRank bool) *Hierarchical {
+	t.Helper()
+	h, err := Compress(NewDense(K), planConfig(dist, tol, fixedRank))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Plan() == nil {
-		t.Fatal("Config.CompilePlan did not install a plan")
+		t.Fatal("a CacheBlocks compression did not install a plan")
 	}
 	return h
 }
@@ -94,22 +100,28 @@ func TestPlanMatchesInterpreter(t *testing.T) {
 					t.Errorf("r=%d: plan vs interpreter differ by %.3e", r, d)
 				}
 			}
-			// After DropPlan the public path IS the interpreter again.
-			h.DropPlan()
-			if h.Plan() != nil {
-				t.Fatal("DropPlan left a plan installed")
-			}
-			X := linalg.GaussianMatrix(rng, n, 2)
-			ref, err := h.InterpMatmatCtx(ctx, X)
+			// Without cached blocks nothing is compiled: the public path
+			// IS the interpreter.
+			cfg := planConfig(tc.dist, tc.tol, tc.fixedRank)
+			cfg.CacheBlocks = false
+			hu, err := Compress(NewDense(K), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := h.MatmatCtx(ctx, X)
+			if hu.Plan() != nil {
+				t.Fatal("an uncached compression installed a plan")
+			}
+			X := linalg.GaussianMatrix(rng, n, 2)
+			ref, err := hu.InterpMatmatCtx(ctx, X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := hu.MatmatCtx(ctx, X)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bitIdentical(got, ref) {
-				t.Error("after DropPlan, Matmat is not the interpreter path")
+				t.Error("uncached Matmat is not the interpreter path")
 			}
 		})
 	}

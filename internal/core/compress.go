@@ -189,15 +189,14 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 		p = startPhase(root, "cache")
 		cacheErr := h.runCaching(ctx)
 		h.Stats.CacheTime = p.End()
+		if cacheErr == nil {
+			// With every block cached, lowering gathers nothing: install
+			// the plan so evaluation replays it from the first call.
+			_, cacheErr = h.CompilePlanCtx(ctx)
+		}
 		if cacheErr != nil {
 			root.End()
 			return nil, cacheErr
-		}
-	}
-	if cfg.CompilePlan {
-		if _, perr := h.CompilePlanCtx(ctx); perr != nil {
-			root.End()
-			return nil, perr
 		}
 	}
 

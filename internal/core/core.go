@@ -206,16 +206,14 @@ type Config struct {
 	// Exec selects the execution strategy (default Dynamic).
 	Exec ExecMode
 	// CacheBlocks caches near blocks K_βα and far blocks K_β̃α̃ during
-	// compression (tasks Kba and SKba); evaluation then avoids re-gathering.
+	// compression (tasks Kba and SKba). Compiling the evaluation plan then
+	// gathers nothing, so CompressCtx also installs the compiled plan and
+	// Matvec/Matmat replay it; without CacheBlocks evaluation runs through
+	// the memory-lean tree interpreter, gathering blocks per call.
 	CacheBlocks bool
 	// CacheSingle stores the cached blocks in float32 (half the memory, the
 	// paper's single-precision storage regime); accumulation stays float64.
 	CacheSingle bool
-	// CompilePlan lowers the four-pass traversal into a flat execution plan
-	// at the end of CompressCtx (see CompilePlanCtx); Matvec/Matmat then
-	// replay the compiled schedule instead of re-walking the tree. The tree
-	// interpreter remains reachable through InterpMatvecCtx/InterpMatmatCtx.
-	CompilePlan bool
 	// SampleRows bounds the number of importance-sampled rows used per
 	// skeletonization (default 4·MaxRank + LeafSize).
 	SampleRows int

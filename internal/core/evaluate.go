@@ -85,6 +85,16 @@ func (h *Hierarchical) MatvecCtx(ctx context.Context, W *linalg.Matrix) (*linalg
 	return h.evalBlock(ctx, W, "matvec")
 }
 
+// InterpMatvec is the uncancellable form of InterpMatvecCtx; it panics on
+// the errors InterpMatvecCtx would return.
+func (h *Hierarchical) InterpMatvec(W *linalg.Matrix) *linalg.Matrix {
+	U, err := h.InterpMatvecCtx(context.Background(), W)
+	if err != nil {
+		panic(err)
+	}
+	return U
+}
+
 // InterpMatvecCtx is MatvecCtx pinned to the tree interpreter: it bypasses
 // any installed compiled plan and re-walks the four passes. It is the
 // reference path — the oracle the plan equivalence suite compares against —

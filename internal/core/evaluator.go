@@ -1,148 +1,40 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"gofmm/internal/linalg"
 	"gofmm/internal/plan"
-	"gofmm/internal/tree"
-	"gofmm/internal/workspace"
+	"gofmm/internal/resilience"
 )
 
-// Evaluator owns reusable evaluation workspaces for repeated matvecs with a
-// fixed number of right-hand sides — the iterative-solver workload (CG,
-// block Krylov, Monte Carlo sampling) where per-call allocation would
-// otherwise dominate at small r. Every buffer and every submatrix view the
-// four passes touch is precomputed at construction, so a steady-state
-// MatvecInto performs no heap allocation at all (when the blocks are cached;
-// an uncached evaluation still gathers K blocks on the fly). When
-// Config.Workspace is set the buffers are drawn from the pool and returned
-// by Close.
+// Evaluator is a handle for repeated matvecs with a fixed number of
+// right-hand sides — the iterative-solver workload (CG, block Krylov, Monte
+// Carlo sampling) where per-call allocation would otherwise dominate at
+// small r. With the compiled plan installed (every CacheBlocks compression)
+// MatvecInto replays it on the calling goroutine through the plan's pooled
+// arena and performs no heap allocation in steady state. Without a plan it
+// evaluates through the tree interpreter and copies the result into U.
 type Evaluator struct {
-	h     *Hierarchical
-	r     int
-	st    *evalState
-	scope *workspace.Scope
-
-	// plan, when non-nil, is the compiled schedule this evaluator replays;
-	// the per-node views below stay nil (the plan's replay state carries
-	// its own prebuilt operand headers and pooled arena).
-	plan *plan.Plan
-
-	// Precomputed per-node views into the evalState buffers (nil where a
-	// node has no such role). Views are headers only — they alias st's
-	// storage and are never returned to the pool.
-	leafW      []*linalg.Matrix   // leaf rows of Wt
-	leafU      []*linalg.Matrix   // leaf rows of Ufar (S2N output)
-	nearU      []*linalg.Matrix   // leaf rows of Unear (L2L output)
-	fromParent []*linalg.Matrix   // this node's slice of down[parent]
-	stacked    []*linalg.Matrix   // interior N2S input buffer [w̃l; w̃r]
-	stackTop   []*linalg.Matrix   // top rows of stacked (copy of w̃l)
-	stackBot   []*linalg.Matrix   // bottom rows of stacked (copy of w̃r)
-	nearW      [][]*linalg.Matrix // per near pair: source rows of Wt
+	h *Hierarchical
+	r int
 }
 
-// NewEvaluator prepares workspaces for Matvec calls with r right-hand sides.
-// With a compiled plan installed (CompilePlanCtx) the evaluator is a thin
-// replay handle: construction is O(1) and MatvecInto replays the flat
-// schedule through a pooled arena instead of the per-node views below.
+// NewEvaluator returns an evaluation handle for Matvec calls with r
+// right-hand sides. Construction is O(1): replay arenas belong to the plan.
 func (h *Hierarchical) NewEvaluator(r int) *Evaluator {
-	if p := h.evalPlan.Load(); p != nil {
-		return &Evaluator{h: h, r: r, scope: h.Cfg.Workspace.NewScope(), plan: p}
-	}
-	n := h.K.Dim()
-	t := h.Tree
-	scope := h.Cfg.Workspace.NewScope()
-	st := &evalState{
-		r:     r,
-		Wt:    scope.Matrix(n, r),
-		Unear: scope.Matrix(n, r),
-		Ufar:  scope.Matrix(n, r),
-		skelW: make([]*linalg.Matrix, len(t.Nodes)),
-		skelU: make([]*linalg.Matrix, len(t.Nodes)),
-		down:  make([]*linalg.Matrix, len(t.Nodes)),
-	}
-	e := &Evaluator{
-		h:          h,
-		r:          r,
-		st:         st,
-		scope:      scope,
-		leafW:      make([]*linalg.Matrix, len(t.Nodes)),
-		leafU:      make([]*linalg.Matrix, len(t.Nodes)),
-		nearU:      make([]*linalg.Matrix, len(t.Nodes)),
-		fromParent: make([]*linalg.Matrix, len(t.Nodes)),
-		stacked:    make([]*linalg.Matrix, len(t.Nodes)),
-		stackTop:   make([]*linalg.Matrix, len(t.Nodes)),
-		stackBot:   make([]*linalg.Matrix, len(t.Nodes)),
-		nearW:      make([][]*linalg.Matrix, len(t.Nodes)),
-	}
-	// Pre-size the per-node buffers from the known skeleton ranks.
-	for id := range t.Nodes {
-		s := len(h.nodes[id].skel)
-		if h.nodes[id].proj != nil {
-			st.skelW[id] = scope.Matrix(h.nodes[id].proj.Rows, r)
-		}
-		if s > 0 {
-			st.skelU[id] = scope.Matrix(s, r)
-		}
-		if !t.IsLeaf(id) && h.nodes[id].proj != nil {
-			st.down[id] = scope.Matrix(h.nodes[id].proj.Cols, r)
-		}
-	}
-	// Precompute every view the passes need.
-	for id := range t.Nodes {
-		tn := &t.Nodes[id]
-		if t.IsLeaf(id) {
-			e.leafW[id] = st.Wt.View(tn.Lo, 0, tn.Size(), r)
-			e.leafU[id] = st.Ufar.View(tn.Lo, 0, tn.Size(), r)
-			e.nearU[id] = st.Unear.View(tn.Lo, 0, tn.Size(), r)
-			near := h.nodes[id].near
-			views := make([]*linalg.Matrix, len(near))
-			for k, alpha := range near {
-				ta := &t.Nodes[alpha]
-				views[k] = st.Wt.View(ta.Lo, 0, ta.Size(), r)
-			}
-			e.nearW[id] = views
-		} else if h.nodes[id].proj != nil {
-			wl, wr := st.skelW[t.Left(id)], st.skelW[t.Right(id)]
-			ra, rb := 0, 0
-			if wl != nil {
-				ra = wl.Rows
-			}
-			if wr != nil {
-				rb = wr.Rows
-			}
-			buf := scope.Matrix(ra+rb, r)
-			e.stacked[id] = buf
-			if ra > 0 {
-				e.stackTop[id] = buf.View(0, 0, ra, r)
-			}
-			if rb > 0 {
-				e.stackBot[id] = buf.View(ra, 0, rb, r)
-			}
-		}
-		if p := t.Parent(id); p >= 0 && st.down[p] != nil {
-			ls := len(h.nodes[t.Left(p)].skel)
-			if id == t.Left(p) {
-				if ls > 0 {
-					e.fromParent[id] = st.down[p].View(0, 0, ls, r)
-				}
-			} else if st.down[p].Rows-ls > 0 {
-				e.fromParent[id] = st.down[p].View(ls, 0, st.down[p].Rows-ls, r)
-			}
-		}
-	}
-	return e
+	return &Evaluator{h: h, r: r}
 }
 
-// Close returns the evaluator's buffers to the configured workspace pool
-// (no-op without one). The evaluator must not be used afterwards.
-func (e *Evaluator) Close() { e.scope.Release() }
+// Close ends the evaluator's use. It owns no buffers of its own, so Close
+// only marks the end of the handle's lifetime; the evaluator must not be
+// used afterwards.
+func (e *Evaluator) Close() {}
 
-// Matvec computes U ≈ K·W into a fresh output using the pre-allocated
-// workspaces. W must have exactly the configured number of columns.
+// Matvec computes U ≈ K·W into a fresh output. W must have exactly the
+// configured number of columns.
 func (e *Evaluator) Matvec(W *linalg.Matrix) *linalg.Matrix {
 	U := linalg.NewMatrix(e.h.K.Dim(), e.r)
 	e.MatvecInto(W, U)
@@ -150,156 +42,38 @@ func (e *Evaluator) Matvec(W *linalg.Matrix) *linalg.Matrix {
 }
 
 // MatvecInto computes U ≈ K·W into the caller-provided U (n×r), allocating
-// nothing in steady state. W and U may not alias.
+// nothing in steady state when a plan is installed. W and U may not alias.
+// It is the uncancellable form of MatvecIntoCtx and panics on the errors
+// MatvecIntoCtx would return.
 func (e *Evaluator) MatvecInto(W, U *linalg.Matrix) {
+	if err := e.MatvecIntoCtx(context.Background(), W, U); err != nil {
+		panic(err)
+	}
+}
+
+// MatvecIntoCtx is MatvecInto with cancellation and typed errors: a W or U
+// of the wrong shape returns ErrInvalidInput.
+func (e *Evaluator) MatvecIntoCtx(ctx context.Context, W, U *linalg.Matrix) error {
 	h := e.h
 	n := h.K.Dim()
-	if W.Rows != n || W.Cols != e.r {
-		panic(fmt.Sprintf("core: Evaluator.Matvec with %d×%d input, want %d×%d", W.Rows, W.Cols, n, e.r))
+	if W.Rows != n || W.Cols != e.r || U.Rows != n || U.Cols != e.r {
+		return fmt.Errorf("%w: core: Evaluator.Matvec with %d×%d input and %d×%d output, want %d×%d",
+			resilience.ErrInvalidInput, W.Rows, W.Cols, U.Rows, U.Cols, n, e.r)
 	}
-	if U.Rows != n || U.Cols != e.r {
-		panic(fmt.Sprintf("core: Evaluator.Matvec with %d×%d output, want %d×%d", U.Rows, U.Cols, n, e.r))
+	p := h.evalPlan.Load()
+	if p == nil {
+		V, err := h.evalBlock(ctx, W, "matvec")
+		if err != nil {
+			return err
+		}
+		U.CopyFrom(V)
+		return nil
 	}
 	start := time.Now()
-	if e.plan != nil {
-		opts := plan.ExecOptions{Workers: 1, Pool: h.Cfg.Workspace, Telemetry: h.Cfg.Telemetry}
-		if err := e.plan.Execute(nil, W, U, opts); err != nil {
-			panic(err) // dims were validated above; replay itself cannot fail
-		}
-		h.noteEval(time.Since(start).Seconds(), e.plan.FlopsPerCol()*float64(e.r))
-		return
+	opts := plan.ExecOptions{Workers: 1, Pool: h.Cfg.Workspace, Telemetry: h.Cfg.Telemetry}
+	if err := p.Execute(ctx, W, U, opts); err != nil {
+		return err
 	}
-	t := h.Tree
-	st := e.st
-	// Reset workspaces in place (column-wise gather for cache locality).
-	for c := 0; c < e.r; c++ {
-		src := W.Col(c)
-		dst := st.Wt.Col(c)
-		for pos, orig := range t.Perm {
-			dst[pos] = src[orig]
-		}
-	}
-	st.Unear.Zero()
-	st.Ufar.Zero()
-	for id := range t.Nodes {
-		if st.skelU[id] != nil {
-			st.skelU[id].Zero()
-		}
-	}
-	// The kernels overwrite skelW/down (Gemm with beta 0); s2sInto relies on
-	// skelU being zeroed above. All submatrix views were precomputed in
-	// NewEvaluator, so the four passes below allocate nothing.
-	t.PostOrder(func(nd *tree.Node) { e.n2sInto(nd.ID) })
-	for id := range t.Nodes {
-		h.s2sInto(st, id)
-	}
-	t.PreOrder(func(nd *tree.Node) { e.s2nInto(nd.ID) })
-	for _, beta := range t.Leaves() {
-		e.l2lInto(beta)
-	}
-	st.Ufar.AddScaled(1, st.Unear)
-	st.Ufar.RowsGatherInto(t.IPerm, U)
-	h.noteEval(time.Since(start).Seconds(), float64(atomic.LoadInt64(&h.evalFlops)))
-}
-
-// n2sInto is n2s with pre-allocated outputs and a pre-allocated stacking
-// buffer for interior nodes.
-func (e *Evaluator) n2sInto(id int) {
-	h := e.h
-	st := e.st
-	nd := &h.nodes[id]
-	if nd.proj == nil || st.skelW[id] == nil {
-		return
-	}
-	t := h.Tree
-	out := st.skelW[id]
-	if t.IsLeaf(id) {
-		linalg.Gemm(false, false, 1, nd.proj, e.leafW[id], 0, out)
-	} else {
-		if v := e.stackTop[id]; v != nil {
-			v.CopyFrom(st.skelW[t.Left(id)])
-		}
-		if v := e.stackBot[id]; v != nil {
-			v.CopyFrom(st.skelW[t.Right(id)])
-		}
-		linalg.Gemm(false, false, 1, nd.proj, e.stacked[id], 0, out)
-	}
-	h.addEvalFlops(2 * float64(out.Rows) * float64(nd.proj.Cols) * float64(st.r))
-}
-
-// s2sInto accumulates into the pre-zeroed skelU buffer.
-func (h *Hierarchical) s2sInto(st *evalState, id int) {
-	nd := &h.nodes[id]
-	if len(nd.far) == 0 || st.skelU[id] == nil {
-		return
-	}
-	acc := st.skelU[id]
-	for k, alpha := range nd.far {
-		wa := st.skelW[alpha]
-		if wa == nil || wa.Rows == 0 {
-			continue
-		}
-		if nd.cacheFar32 != nil {
-			b := nd.cacheFar32[k]
-			linalg.GemmMixed(1, b, wa, 1, acc)
-			h.addEvalFlops(2 * float64(b.Rows) * float64(b.Cols) * float64(st.r))
-			continue
-		}
-		var block *linalg.Matrix
-		if nd.cacheFar != nil {
-			block = nd.cacheFar[k]
-		} else {
-			block = NewGathered(h.K, nd.skel, h.nodes[alpha].skel)
-		}
-		linalg.Gemm(false, false, 1, block, wa, 1, acc)
-		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
-	}
-}
-
-// s2nInto is s2n with pre-allocated down buffers and precomputed views.
-func (e *Evaluator) s2nInto(id int) {
-	h := e.h
-	st := e.st
-	t := h.Tree
-	nd := &h.nodes[id]
-	if part := e.fromParent[id]; part != nil && st.skelU[id] != nil {
-		st.skelU[id].AddScaled(1, part)
-	}
-	u := st.skelU[id]
-	if u == nil || u.Rows == 0 || nd.proj == nil {
-		return
-	}
-	if t.IsLeaf(id) {
-		linalg.Gemm(true, false, 1, nd.proj, u, 1, e.leafU[id])
-		h.addEvalFlops(2 * float64(nd.proj.Rows) * float64(nd.proj.Cols) * float64(st.r))
-	} else if st.down[id] != nil {
-		linalg.Gemm(true, false, 1, nd.proj, u, 0, st.down[id])
-		h.addEvalFlops(2 * float64(nd.proj.Rows) * float64(nd.proj.Cols) * float64(st.r))
-	}
-}
-
-// l2lInto is l2l with precomputed input/output views; only the uncached
-// block path still allocates (it must gather K entries somewhere).
-func (e *Evaluator) l2lInto(beta int) {
-	h := e.h
-	st := e.st
-	nd := &h.nodes[beta]
-	uview := e.nearU[beta]
-	for k, alpha := range nd.near {
-		wview := e.nearW[beta][k]
-		if nd.cacheNear32 != nil {
-			b := nd.cacheNear32[k]
-			linalg.GemmMixed(1, b, wview, 1, uview)
-			h.addEvalFlops(2 * float64(b.Rows) * float64(b.Cols) * float64(st.r))
-			continue
-		}
-		var block *linalg.Matrix
-		if nd.cacheNear != nil {
-			block = nd.cacheNear[k]
-		} else {
-			block = NewGathered(h.K, h.Tree.Indices(beta), h.Tree.Indices(alpha))
-		}
-		linalg.Gemm(false, false, 1, block, wview, 1, uview)
-		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
-	}
+	h.noteEval(time.Since(start).Seconds(), p.FlopsPerCol()*float64(e.r))
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,8 +180,12 @@ func TestL2LPinnedToAccelerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The trace records task placement, so evaluate through the tree
+	// interpreter's task executor rather than the compiled plan.
 	W := linalg.GaussianMatrix(rng, 300, 4)
-	h.Matvec(W)
+	if _, err := h.InterpMatvecCtx(context.Background(), W); err != nil {
+		t.Fatal(err)
+	}
 	if len(h.LastTrace) == 0 {
 		t.Fatal("no trace captured")
 	}

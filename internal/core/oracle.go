@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// The nil-oracle contract. An operator loaded from the store (or from a v2
-// stream with a nil oracle) serves evaluations from its persisted blocks
-// alone: the compiled plan and the fully-cached interpreter never touch
-// K's entries. Paths that must sample fresh entries — interpreting with
+// The nil-oracle contract. An operator loaded from the store (LoadFrom,
+// ReadStore) serves evaluations from its persisted blocks alone: the
+// compiled plan and the fully-cached interpreter never touch K's entries.
+// Paths that must sample fresh entries — interpreting with
 // uncached blocks, compiling a plan that would gather, building an HSS
 // factorization — fail fast with ErrNoOracle instead of computing garbage.
 
@@ -31,8 +31,8 @@ func (o noOracle) At(i, j int) float64 {
 }
 
 // HasOracle reports whether the operator carries a live entry oracle.
-// Operators built by Compress always do; operators loaded by LoadFrom (or
-// ReadFrom with a nil K) do not, until AttachOracle provides one.
+// Operators built by Compress always do; operators loaded by LoadFrom or
+// ReadStore do not, until AttachOracle provides one.
 func (h *Hierarchical) HasOracle() bool {
 	_, bare := h.K.(noOracle)
 	return !bare

@@ -45,8 +45,9 @@ func TestPlanReplayInjectedPanicBecomesTypedError(t *testing.T) {
 
 // FuzzPlanReplay cross-checks compile-and-replay against the tree
 // interpreter over fuzzed tree shapes (problem size, leaf size, skeleton
-// rank, budget, caching precision) and fuzzed inputs, including NaN/Inf
-// poisoning of the weight matrix. Three properties must survive anything
+// rank, budget, caching precision, kernel bandwidth — a narrow one makes
+// K nearly diagonal, so nodes skeletonize to rank 0) and fuzzed inputs,
+// including NaN/Inf poisoning of the weight matrix. Three properties must survive anything
 // the fuzzer finds:
 //
 //  1. replaying twice is bit-identical (Float64bits — NaN-safe);
@@ -59,17 +60,19 @@ func FuzzPlanReplay(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint16(0))
 	f.Add(int64(7), uint8(3), uint8(2), uint8(9), uint16(0xBEEF))
 	f.Add(int64(42), uint8(1), uint8(5), uint8(4), uint16(1))
+	f.Add(int64(3), uint8(1), uint8(0), uint8(2<<5), uint16(0)) // rank-0 nodes at width 2
 	f.Fuzz(func(t *testing.T, seed int64, shape, rank, knobs uint8, poison uint16) {
-		n := 48 + int(shape%5)*24      // 48..144: varied tree shapes
-		leaf := 8 << (shape % 3)       // 8, 16, 32: varied depths
-		maxRank := 6 + int(rank%4)*6   // 6..24: varied skeleton ranks
-		bud := float64(knobs%5) * 0.02 // 0 (HSS) .. 0.08
+		n := 48 + int(shape%5)*24                            // 48..144: varied tree shapes
+		leaf := 8 << (shape % 3)                             // 8, 16, 32: varied depths
+		maxRank := 6 + int(rank%4)*6                         // 6..24: varied skeleton ranks
+		bud := float64(knobs%5) * 0.02                       // 0 (HSS) .. 0.08
+		bandwidth := []float64{0.8, 0.2, 1e-3}[(knobs>>5)%3] // 1e-3: rank-0 nodes
 		tol := 1e-5
 		if rank%2 == 1 {
 			tol = 1e-2
 		}
 		rng := rand.New(rand.NewSource(seed))
-		K, X := gaussKernelMatrix(rng, n, 0.8)
+		K, X := gaussKernelMatrix(rng, n, bandwidth)
 		cfg := Config{
 			LeafSize: leaf, MaxRank: maxRank, Tol: tol, Kappa: 8, Budget: bud,
 			Distance: Angle, Exec: Sequential, Seed: seed,

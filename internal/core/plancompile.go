@@ -24,9 +24,9 @@ func (h *Hierarchical) CompilePlan() (*plan.Plan, error) {
 // replayable schedule and installs it: subsequent MatvecCtx/MatmatCtx calls
 // (and Evaluator/BatchEvaluator traffic) replay the plan instead of
 // re-walking the tree. Compilation is idempotent — the first call builds,
-// later calls return the installed plan. The tree interpreter remains
-// available as the reference path through InterpMatvecCtx/InterpMatmatCtx
-// (and again after DropPlan).
+// later calls return the installed plan. CompressCtx already installs it
+// whenever CacheBlocks is set. The tree interpreter remains available as
+// the reference path through InterpMatvecCtx/InterpMatmatCtx.
 //
 // When the compression did not cache its near/far blocks, compilation
 // gathers them now and the plan owns them — compiling implies caching, at
@@ -78,10 +78,6 @@ func (h *Hierarchical) CompilePlanCtx(ctx context.Context) (*plan.Plan, error) {
 // Plan returns the installed compiled plan, or nil when evaluation still
 // runs through the tree interpreter.
 func (h *Hierarchical) Plan() *plan.Plan { return h.evalPlan.Load() }
-
-// DropPlan uninstalls the compiled plan, returning evaluation to the tree
-// interpreter (used by tests and by benchmarks that compare the paths).
-func (h *Hierarchical) DropPlan() { h.evalPlan.Store(nil) }
 
 // lowerPlan performs the symbolic traversal once and emits the flat
 // schedule. The emitted op sequence reproduces the interpreter's kernel
@@ -185,8 +181,8 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 		opened := false
 		for _, id := range levels[l] {
 			nd := &h.nodes[id]
-			if nd.proj == nil {
-				continue
+			if nd.proj == nil || nd.proj.Rows == 0 {
+				continue // no basis, or a rank-0 one: w̃ has no rows to write
 			}
 			if !opened {
 				b.BeginStage(fmt.Sprintf("n2s.L%02d", l), true)

@@ -95,39 +95,94 @@ func TestCompiledPlanParallelReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompileViaConfigAndDropPlan covers the Config.CompilePlan compress
-// hook and the DropPlan escape hatch.
-func TestCompileViaConfigAndDropPlan(t *testing.T) {
+// TestCompressInstallsPlanWhenCached pins the default engine: a CacheBlocks
+// compression installs the compiled plan, while an uncached one compiles
+// nothing and its public path is the tree interpreter, bit for bit.
+func TestCompressInstallsPlanWhenCached(t *testing.T) {
 	cfg := planConfig()
-	cfg.CompilePlan = true
 	h, _ := compressGauss(t, 256, cfg)
 	if h.Plan() == nil {
-		t.Fatal("Config.CompilePlan did not install a plan during Compress")
+		t.Fatal("a CacheBlocks compression did not install a plan")
 	}
 	if h.Stats.PlanTime < 0 {
 		t.Fatal("negative PlanTime")
 	}
-	h.DropPlan()
-	if h.Plan() != nil {
-		t.Fatal("DropPlan left the plan installed")
+	cfg.CacheBlocks = false
+	hu, _ := compressGauss(t, 256, cfg)
+	if hu.Plan() != nil {
+		t.Fatal("an uncached compression installed a plan")
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, r := range []int{1, 3} {
+		W := linalg.GaussianMatrix(rng, 256, r)
+		ref, err := hu.InterpMatvecCtx(context.Background(), W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := hu.MatvecCtx(context.Background(), W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !linalg.EqualApprox(got, ref, 0) {
+			t.Fatalf("r=%d: uncached MatvecCtx is not the interpreter (max |Δ| = %g)", r, maxAbsDiff(got, ref))
+		}
+	}
+}
+
+// TestPlanRankZeroNodes compiles an operator whose nodes all have rank 0
+// (the identity has no far field): the plan must skip the zero-row N2S
+// records the interpreter skips and agree with it at every width.
+func TestPlanRankZeroNodes(t *testing.T) {
+	n := 256
+	h, err := Compress(denseSPD{linalg.Eye(n)}, Config{
+		LeafSize: 32, MaxRank: 16, Tol: 1e-10, Kappa: 4, Budget: 0,
+		Distance: Kernel, Exec: Sequential, Seed: 174, CacheBlocks: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Stats.AvgRank != 0 {
+		t.Fatalf("fixture has avg rank %g, want 0", h.Stats.AvgRank)
+	}
+	if _, err := h.CompilePlanCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(175))
+	for _, r := range []int{1, 2, 16} {
+		W := linalg.GaussianMatrix(rng, n, r)
+		ref, err := h.InterpMatvecCtx(context.Background(), W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.MatvecCtx(context.Background(), W)
+		if err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
+		if !linalg.EqualApprox(got, ref, 0) {
+			t.Fatalf("r=%d: plan differs from interpreter (max |Δ| = %g)", r, maxAbsDiff(got, ref))
+		}
+		if d := linalg.RelFrobDiff(got, W); d > 1e-14 {
+			t.Fatalf("r=%d: I·W ≠ W: %g", r, d)
+		}
 	}
 }
 
 // TestEvaluatorReplaysPlan checks the Evaluator delegation: with a plan
 // installed the evaluator is a thin replay handle that agrees with the
-// interpreter-backed evaluator to 1e-13 (the replay uses beta-0 writes
-// where the interpreter zeroes then accumulates) and is bit-identical to
-// itself across replays.
+// tree interpreter to 1e-13 (the replay uses beta-0 writes where the
+// interpreter zeroes then accumulates) and is bit-identical to itself
+// across replays.
 func TestEvaluatorReplaysPlan(t *testing.T) {
 	cfg := planConfig()
 	cfg.Workspace = workspace.New()
 	h, _ := compressGauss(t, 256, cfg)
+	if h.Plan() == nil {
+		t.Fatal("a CacheBlocks compression did not install a plan")
+	}
 	rng := rand.New(rand.NewSource(13))
 	W := linalg.GaussianMatrix(rng, 256, 2)
-	ref := h.NewEvaluator(2)
-	want := ref.Matvec(W)
-	ref.Close()
-	if _, err := h.CompilePlan(); err != nil {
+	want, err := h.InterpMatvecCtx(context.Background(), W)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ev := h.NewEvaluator(2)
@@ -135,17 +190,35 @@ func TestEvaluatorReplaysPlan(t *testing.T) {
 	got := linalg.NewMatrix(256, 2)
 	ev.MatvecInto(W, got)
 	if d := linalg.RelFrobDiff(got, want); d > 1e-13 {
-		t.Fatalf("plan-backed evaluator differs from interpreter evaluator by %g", d)
+		t.Fatalf("plan-backed evaluator differs from interpreter by %g", d)
 	}
 	// Replays must be bit-identical to each other.
 	again := linalg.NewMatrix(256, 2)
 	ev.MatvecInto(W, again)
-	for j := 0; j < 2; j++ {
-		a, b := got.Col(j), again.Col(j)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("evaluator replay not bit-identical at (%d,%d)", i, j)
-			}
-		}
+	if !linalg.EqualApprox(got, again, 0) {
+		t.Fatal("evaluator replay not bit-identical")
+	}
+}
+
+// TestEvaluatorWithoutPlanMatchesMatvec covers the uncached evaluator: with
+// no plan to replay it runs the interpreter and matches MatvecCtx bit for
+// bit.
+func TestEvaluatorWithoutPlanMatchesMatvec(t *testing.T) {
+	cfg := planConfig()
+	cfg.CacheBlocks = false
+	h, _ := compressGauss(t, 256, cfg)
+	if h.Plan() != nil {
+		t.Fatal("an uncached compression installed a plan")
+	}
+	rng := rand.New(rand.NewSource(15))
+	W := linalg.GaussianMatrix(rng, 256, 3)
+	want, err := h.MatvecCtx(context.Background(), W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := h.NewEvaluator(3)
+	defer ev.Close()
+	if got := ev.Matvec(W); !linalg.EqualApprox(got, want, 0) {
+		t.Fatalf("uncached evaluator differs from MatvecCtx (max |Δ| = %g)", maxAbsDiff(got, want))
 	}
 }

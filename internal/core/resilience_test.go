@@ -134,8 +134,18 @@ func TestCompressWithTaskFailureInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Compare through the interpreter: its tasks retry injected
+		// failures, while a plan replay would surface them as errors.
 		W := linalg.GaussianMatrix(rng, 256, 2)
-		if !linalg.EqualApprox(h.Matvec(W), clean.Matvec(W), 0) {
+		got, err := h.InterpMatvecCtx(context.Background(), W)
+		if err != nil {
+			t.Fatalf("exec %v: %v", exec, err)
+		}
+		want, err := clean.InterpMatvecCtx(context.Background(), W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !linalg.EqualApprox(got, want, 0) {
 			t.Fatalf("exec %v: chaos run diverged from the clean run", exec)
 		}
 	}

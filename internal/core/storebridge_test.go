@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -16,9 +17,11 @@ import (
 
 // The store round-trip property: across distances, tolerance regimes and
 // cache precisions, SaveTo → LoadFrom (both the portable and the mmap path)
-// reproduces the in-memory operator bit for bit — identical Matvec and
-// Matmat results, identical reinstalled plan digest — with no oracle
-// attached to the loaded side.
+// and WriteStore → ReadStore (the stream behind gofmm.Save/Load) reproduce
+// the in-memory operator bit for bit — identical Matvec and Matmat results,
+// identical reinstalled plan digest. Cached operators load with no oracle
+// attached; the uncached one carries no plan and evaluates through the
+// interpreter once its oracle is attached, as gofmm.Load(r, K) does.
 func TestStoreRoundTripProperty(t *testing.T) {
 	type variant struct {
 		name string
@@ -32,6 +35,7 @@ func TestStoreRoundTripProperty(t *testing.T) {
 		// Fixed-rank regime: tolerance loose enough that MaxRank binds.
 		{"angle-fixedrank-f64", Config{Distance: Angle, Tol: 1e-12, MaxRank: 12, CacheBlocks: true}},
 		{"kernel-fixedrank-f32", Config{Distance: Kernel, Tol: 1e-12, MaxRank: 12, CacheBlocks: true, CacheSingle: true}},
+		{"angle-tol5-uncached", Config{Distance: Angle, Tol: 1e-5}},
 	}
 	for _, v := range variants {
 		v := v
@@ -45,12 +49,17 @@ func TestStoreRoundTripProperty(t *testing.T) {
 			cfg.Budget = 0.1
 			cfg.Exec = Sequential
 			cfg.Seed = 42
-			cfg.CompilePlan = true
-			h, _ := compressGauss(t, 300, cfg)
-			if h.Plan() == nil {
-				if _, err := h.CompilePlan(); err != nil {
-					t.Fatal(err)
-				}
+			h, K := compressGauss(t, 300, cfg)
+			if (h.Plan() != nil) != cfg.CacheBlocks {
+				t.Fatalf("plan installed = %v with CacheBlocks = %v", h.Plan() != nil, cfg.CacheBlocks)
+			}
+			var wantDigest string
+			if p := h.Plan(); p != nil {
+				wantDigest = p.DigestHex()
+			}
+			var image bytes.Buffer
+			if _, err := h.WriteStore(&image); err != nil {
+				t.Fatal(err)
 			}
 
 			path := filepath.Join(t.TempDir(), "op.store")
@@ -75,25 +84,31 @@ func TestStoreRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantDigest := h.Plan().DigestHex()
 
-			for _, mm := range []bool{false, true} {
-				name := "open"
-				if mm {
-					name = "mmap"
+			for _, name := range []string{"open", "mmap", "stream"} {
+				var h2 *Hierarchical
+				var info *StoreInfo
+				if name == "stream" {
+					h2, info, err = ReadStore(bytes.NewReader(image.Bytes()), LoadOptions{})
+				} else {
+					h2, info, err = LoadFrom(path, LoadOptions{Mmap: name == "mmap"})
 				}
-				h2, info, err := LoadFrom(path, LoadOptions{Mmap: mm})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if h2.HasOracle() {
 					t.Fatalf("%s: loaded operator claims an oracle", name)
 				}
-				if !info.HasPlan || info.PlanDigest != wantDigest {
+				if info.HasPlan != cfg.CacheBlocks || info.PlanDigest != wantDigest {
 					t.Fatalf("%s: plan digest %q, want %q", name, info.PlanDigest, wantDigest)
 				}
-				if got := h2.Plan().DigestHex(); got != wantDigest {
-					t.Fatalf("%s: reinstalled plan digest %q, want %q", name, got, wantDigest)
+				if p := h2.Plan(); p != nil && p.DigestHex() != wantDigest {
+					t.Fatalf("%s: reinstalled plan digest %q, want %q", name, p.DigestHex(), wantDigest)
+				}
+				if !cfg.CacheBlocks {
+					if err := h2.AttachOracle(denseSPD{K}); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
 				}
 				gotVec, err := h2.MatvecCtx(context.Background(), W1)
 				if err != nil {
@@ -109,8 +124,8 @@ func TestStoreRoundTripProperty(t *testing.T) {
 				if !linalg.EqualApprox(wantMat, gotMat, 0) {
 					t.Fatalf("%s: matmat not bit-identical (max |Δ| = %g)", name, maxAbsDiff(wantMat, gotMat))
 				}
-				// The interpreter path must agree too: the loaded caches are
-				// complete, so it runs oracle-free.
+				// The interpreter path must agree too (oracle-free for the
+				// cached variants, whose loaded caches are complete).
 				gotInterp, err := h2.InterpMatvecCtx(context.Background(), W1)
 				if err != nil {
 					t.Fatalf("%s interpret: %v", name, err)
@@ -118,7 +133,7 @@ func TestStoreRoundTripProperty(t *testing.T) {
 				if !linalg.EqualApprox(wantInterp, gotInterp, 0) {
 					t.Fatalf("%s: interpreted matvec differs", name)
 				}
-				if mm && !h2.StoreMapped() {
+				if name == "mmap" && !h2.StoreMapped() {
 					t.Log("mmap load fell back to portable path on this platform")
 				}
 				if err := h2.ReleaseStore(); err != nil {
@@ -166,50 +181,6 @@ func TestStoreLoadWithoutCachesNeedsOracle(t *testing.T) {
 	}
 }
 
-// ReadFrom with a nil oracle (the serving workflow) must evaluate from the
-// cached blocks and type-fail the oracle-requiring paths.
-func TestReadFromNilOracle(t *testing.T) {
-	h, _ := compressGauss(t, 200, Config{
-		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.1,
-		Distance: Angle, Exec: Sequential, Seed: 11, CacheBlocks: true,
-	})
-	path := filepath.Join(t.TempDir(), "v2.bin")
-	fh, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteTo(fh); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	h2, err := ReadFrom(rd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.HasOracle() {
-		t.Fatal("nil-oracle load claims an oracle")
-	}
-	rng := rand.New(rand.NewSource(12))
-	W := linalg.GaussianMatrix(rng, 200, 2)
-	got, err := h2.MatvecCtx(context.Background(), W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !linalg.EqualApprox(h.Matvec(W), got, 0) {
-		t.Fatal("oracle-free matvec differs")
-	}
-	if err := h2.AttachOracle(nil); !errors.Is(err, ErrNoOracle) {
-		t.Fatalf("AttachOracle(nil): got %v", err)
-	}
-}
-
 // Store files are untrusted input through the core bridge as well: payload
 // corruption below the (checksummed) container layer must yield typed
 // errors, never panics.
@@ -217,13 +188,7 @@ func TestStoreLoadRejectsCorruptPayload(t *testing.T) {
 	h, _ := compressGauss(t, 200, Config{
 		LeafSize: 32, MaxRank: 16, Tol: 1e-4, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, Seed: 13, CacheBlocks: true,
-		CompilePlan: true,
 	})
-	if h.Plan() == nil {
-		if _, err := h.CompilePlan(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	sections, err := h.storeSections()
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +230,43 @@ func TestStoreLoadRejectsCorruptPayload(t *testing.T) {
 	if _, _, err := LoadFrom(path, LoadOptions{}); err == nil {
 		t.Fatal("store without arenas loaded successfully")
 	}
+
+	// Targeted topo mutations on a small operator, where checking every
+	// truncation offset is affordable. The topo section opens with the
+	// matrix table (a count, then 32-byte prec/rows/cols/offset records),
+	// followed by the length-prefixed permutation.
+	_, small := smallStoreSections(t)
+	topo := payload(t, small, store.SecTopo)
+	numRecs := int(binary.LittleEndian.Uint64(topo))
+	offPerm := 8 + 32*numRecs
+	mustReject := func(t *testing.T, name string, mutated []byte) {
+		t.Helper()
+		err := readMustErr(t, name, withPayload(t, small, store.SecTopo, mutated))
+		if err != nil && !errors.Is(err, store.ErrBadStore) {
+			t.Errorf("%s: got %v, want store.ErrBadStore", name, err)
+		}
+	}
+	t.Run("non-permutation perm", func(t *testing.T) {
+		// perm[1] = perm[0]: still in range, no longer a permutation.
+		p0 := int64(binary.LittleEndian.Uint64(topo[offPerm+8:]))
+		mustReject(t, "duplicate perm entry", patchI64(topo, offPerm+16, p0))
+		mustReject(t, "huge perm length", patchI64(topo, offPerm, 1<<40))
+		mustReject(t, "negative perm length", patchI64(topo, offPerm, -2))
+		mustReject(t, "short perm", patchI64(topo, offPerm, 3))
+		mustReject(t, "perm index out of range", patchI64(topo, offPerm+8, 96))
+		mustReject(t, "negative perm index", patchI64(topo, offPerm+8, -1))
+	})
+	t.Run("huge matrix record", func(t *testing.T) {
+		// Record 0 claims a 2^30×2^30 matrix: the bound check must fire
+		// before anything is sized by the claim.
+		mustReject(t, "huge matrix claim", patchI64(patchI64(topo, 16, 1<<30), 24, 1<<30))
+		mustReject(t, "huge record count", patchI64(topo, 0, 1<<40))
+	})
+	t.Run("topo truncation at every offset", func(t *testing.T) {
+		for cut := 0; cut < len(topo); cut++ {
+			mustReject(t, "truncated topo", topo[:cut])
+		}
+	})
 }
 
 // Saving must refuse an uncompressed operator instead of writing an empty
@@ -285,7 +287,7 @@ func TestWriteStoreMatchesSaveTo(t *testing.T) {
 	cfg := Config{
 		LeafSize: 32, MaxRank: 16, Tol: 1e-3, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, NumWorkers: 1, Seed: 7,
-		CacheBlocks: true, CompilePlan: true,
+		CacheBlocks: true,
 	}
 	h, _ := compressGauss(t, 200, cfg)
 	path := filepath.Join(t.TempDir(), "w.store")

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"gofmm/internal/store"
 )
 
 // Section payload codec for the operator store (gofmm.store/v1). The
@@ -24,6 +26,10 @@ import (
 // storePayloadVersion versions the section payloads independently of the
 // container (bump when the byte layout inside a section changes).
 const storePayloadVersion = 1
+
+// maxStoreDim bounds every dimension-like field in a payload, so a corrupt
+// or adversarial length is rejected before it can size an allocation.
+const maxStoreDim = 1 << 31
 
 // matRec is one matrix-table entry: a precision tag (4 or 8), the matrix
 // shape, and its byte offset into the arena section of that precision.
@@ -68,7 +74,7 @@ func (w *secWriter) blob(p []byte) {
 
 // secReader parses a section payload with sticky errors: after the first
 // failure every getter returns a zero value and the error surfaces once
-// through err(). All failures wrap ErrBadFormat.
+// through err(). All failures wrap store.ErrBadStore.
 type secReader struct {
 	b    []byte
 	off  int
@@ -82,7 +88,7 @@ func newSecReader(name string, b []byte) *secReader {
 
 func (r *secReader) failf(format string, args ...any) {
 	if r.fail == nil {
-		r.fail = fmt.Errorf("%w: store %s section: %s", ErrBadFormat, r.what,
+		r.fail = fmt.Errorf("%w: store %s section: %s", store.ErrBadStore, r.what,
 			fmt.Sprintf(format, args...))
 	}
 }
@@ -136,10 +142,10 @@ func (r *secReader) boolean() bool {
 	return v == 1
 }
 
-// dim reads an int64 bounded like the v2 stream's dimension fields.
+// dim reads an int64 in [-1, maxStoreDim] (-1 encodes an absent list).
 func (r *secReader) dim() int {
 	v := r.i64()
-	if v < -1 || v > maxSerialDim {
+	if v < -1 || v > maxStoreDim {
 		r.failf("length field %d out of range", v)
 		return 0
 	}

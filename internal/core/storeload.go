@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 
 	"gofmm/internal/linalg"
@@ -14,21 +15,25 @@ import (
 	"gofmm/internal/workspace"
 )
 
-// Loading a compressed operator from the on-disk store. Two disciplines:
+// Loading a compressed operator from the operator store (gofmm.store/v1),
+// the one persisted form of an operator: LoadFrom opens a file, ReadStore
+// (behind gofmm.Load) reads a stream. Two disciplines:
 //
 //   - LoadFrom with Mmap maps the file read-only and binds every constant
 //     matrix as a column-major view straight into the mapping — zero copies
 //     of arena data, first matvec limited by page faults, the mapping held
 //     until ReleaseStore. Any mmap failure (unsupported platform, filesystem
 //     without mmap, misaligned file) falls back to the portable path.
-//   - The portable path reads the file into memory and, when the host can
-//     reinterpret little-endian IEEE floats in place, still binds views into
-//     that buffer; otherwise (big-endian hosts) it decodes by copy.
+//   - The portable path (always taken by ReadStore) reads the image into
+//     memory and, when the host can reinterpret little-endian IEEE floats
+//     in place, still binds views into that buffer; otherwise (big-endian
+//     hosts) it decodes by copy.
 //
 // Either way the container is validated section-by-section (magic, bounds,
 // alignment, sha256 checksums) by internal/store before a byte of payload is
 // parsed, and the payload parser bounds every allocation by the bytes
-// actually present — the hardened untrusted-input discipline of ReadFrom.
+// actually present: corrupt, truncated or adversarial input yields an error
+// wrapping store.ErrBadStore, never a panic.
 
 // LoadOptions configures LoadFrom. The zero value is a sequentialish
 // portable load: no mmap, Dynamic executor with one worker, no pooling, no
@@ -79,6 +84,28 @@ func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) 
 	if err != nil {
 		return nil, nil, err
 	}
+	return loadStore(f, opts)
+}
+
+// ReadStore is LoadFrom over a stream: it reads r to the end (a store
+// written by WriteStore), validates the image, and reconstructs the
+// operator without an entry oracle. The load is always the portable one;
+// opts.Mmap is ignored.
+func ReadStore(r io.Reader, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := store.Decode(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return loadStore(f, opts)
+}
+
+// loadStore decodes a validated container into an operator, closing the
+// container when decoding fails.
+func loadStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	h, info, err := decodeStore(f, opts)
 	if err != nil {
 		f.Close()
@@ -95,7 +122,7 @@ func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) 
 // section. copied reports whether the data was copied out of the section.
 func arenaFloats64(b []byte) ([]float64, bool, error) {
 	if len(b)%8 != 0 {
-		return nil, false, fmt.Errorf("%w: f64 arena length %d", ErrBadFormat, len(b))
+		return nil, false, fmt.Errorf("%w: f64 arena length %d", store.ErrBadStore, len(b))
 	}
 	if len(b) == 0 {
 		return nil, false, nil
@@ -114,7 +141,7 @@ func arenaFloats64(b []byte) ([]float64, bool, error) {
 // arenaFloats32 is arenaFloats64 for the single-precision arena.
 func arenaFloats32(b []byte) ([]float32, bool, error) {
 	if len(b)%4 != 0 {
-		return nil, false, fmt.Errorf("%w: f32 arena length %d", ErrBadFormat, len(b))
+		return nil, false, fmt.Errorf("%w: f32 arena length %d", store.ErrBadStore, len(b))
 	}
 	if len(b) == 0 {
 		return nil, false, nil
@@ -134,11 +161,11 @@ func arenaFloats32(b []byte) ([]float32, bool, error) {
 func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	metab, ok := f.Section(store.SecMeta)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: store missing meta section", ErrBadFormat)
+		return nil, nil, fmt.Errorf("%w: store missing meta section", store.ErrBadStore)
 	}
 	topob, ok := f.Section(store.SecTopo)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: store missing topo section", ErrBadFormat)
+		return nil, nil, fmt.Errorf("%w: store missing topo section", store.ErrBadStore)
 	}
 	planb, _ := f.Section(store.SecPlan) // absent plan == no plan
 	a64b, _ := f.Section(store.SecArena64)
@@ -147,7 +174,7 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 	// --- meta ---
 	mr := newSecReader("meta", metab)
 	if v := mr.i64(); mr.err() == nil && v != storePayloadVersion {
-		return nil, nil, fmt.Errorf("%w: store payload version %d (want %d)", ErrBadFormat, v, storePayloadVersion)
+		return nil, nil, fmt.Errorf("%w: store payload version %d (want %d)", store.ErrBadStore, v, storePayloadVersion)
 	}
 	n := mr.dim()
 	leaf := mr.dim()
@@ -164,16 +191,16 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		return nil, nil, err
 	}
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("%w: dimension %d", ErrBadFormat, n)
+		return nil, nil, fmt.Errorf("%w: dimension %d", store.ErrBadStore, n)
 	}
 	if leaf < 1 || leaf > n {
-		return nil, nil, fmt.Errorf("%w: leaf size %d for dimension %d", ErrBadFormat, leaf, n)
+		return nil, nil, fmt.Errorf("%w: leaf size %d for dimension %d", store.ErrBadStore, leaf, n)
 	}
 	if dist < 0 || dist > int64(RandomPerm) {
-		return nil, nil, fmt.Errorf("%w: distance %d", ErrBadFormat, dist)
+		return nil, nil, fmt.Errorf("%w: distance %d", store.ErrBadStore, dist)
 	}
 	if math.IsNaN(tol) || math.IsInf(tol, 0) || math.IsNaN(budget) || math.IsInf(budget, 0) {
-		return nil, nil, fmt.Errorf("%w: non-finite tolerance or budget", ErrBadFormat)
+		return nil, nil, fmt.Errorf("%w: non-finite tolerance or budget", store.ErrBadStore)
 	}
 
 	// --- arenas ---
@@ -191,7 +218,7 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 	tr := newSecReader("topo", topob)
 	numRecs := tr.dim()
 	if tr.err() == nil && (numRecs < 0 || numRecs > tr.remaining()/32) {
-		return nil, nil, fmt.Errorf("%w: matrix table of %d records in %d bytes", ErrBadFormat, numRecs, tr.remaining())
+		return nil, nil, fmt.Errorf("%w: matrix table of %d records in %d bytes", store.ErrBadStore, numRecs, tr.remaining())
 	}
 	mats64 := make([]*linalg.Matrix, numRecs)
 	mats32 := make([]*linalg.Matrix32, numRecs)
@@ -200,14 +227,14 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		if tr.err() != nil {
 			break
 		}
-		if rows < 0 || rows > maxSerialDim || cols < 0 || cols > maxSerialDim || off < 0 {
-			return nil, nil, fmt.Errorf("%w: matrix record %d: %d×%d at %d", ErrBadFormat, i, rows, cols, off)
+		if rows < 0 || rows > maxStoreDim || cols < 0 || cols > maxStoreDim || off < 0 {
+			return nil, nil, fmt.Errorf("%w: matrix record %d: %d×%d at %d", store.ErrBadStore, i, rows, cols, off)
 		}
 		elems := rows * cols // ≤ 2^62, no overflow
 		switch prec {
 		case 8:
 			if off%8 != 0 || off/8+elems > int64(len(f64)) {
-				return nil, nil, fmt.Errorf("%w: matrix record %d overruns f64 arena", ErrBadFormat, i)
+				return nil, nil, fmt.Errorf("%w: matrix record %d overruns f64 arena", store.ErrBadStore, i)
 			}
 			if elems == 0 {
 				mats64[i] = linalg.NewMatrix(int(rows), int(cols))
@@ -216,7 +243,7 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 			}
 		case 4:
 			if off%4 != 0 || off/4+elems > int64(len(f32)) {
-				return nil, nil, fmt.Errorf("%w: matrix record %d overruns f32 arena", ErrBadFormat, i)
+				return nil, nil, fmt.Errorf("%w: matrix record %d overruns f32 arena", store.ErrBadStore, i)
 			}
 			if elems == 0 {
 				mats32[i] = linalg.NewMatrix32(int(rows), int(cols))
@@ -224,7 +251,7 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 				mats32[i] = linalg.FromColumnMajor32(int(rows), int(cols), f32[off/4:off/4+elems])
 			}
 		default:
-			return nil, nil, fmt.Errorf("%w: matrix record %d precision %d", ErrBadFormat, i, prec)
+			return nil, nil, fmt.Errorf("%w: matrix record %d precision %d", store.ErrBadStore, i, prec)
 		}
 	}
 	ref64 := func(v int64) *linalg.Matrix {
@@ -254,19 +281,19 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		return nil, nil, err
 	}
 	if len(perm) != n {
-		return nil, nil, fmt.Errorf("%w: permutation length %d for dimension %d", ErrBadFormat, len(perm), n)
+		return nil, nil, fmt.Errorf("%w: permutation length %d for dimension %d", store.ErrBadStore, len(perm), n)
 	}
 	seen := make([]bool, n)
 	for _, p := range perm {
 		if seen[p] {
-			return nil, nil, fmt.Errorf("%w: duplicate index %d in permutation", ErrBadFormat, p)
+			return nil, nil, fmt.Errorf("%w: duplicate index %d in permutation", store.ErrBadStore, p)
 		}
 		seen[p] = true
 	}
 	t := tree.FromPermutation(perm, leaf)
 	numNodes := tr.dim()
 	if tr.err() == nil && numNodes != len(t.Nodes) {
-		return nil, nil, fmt.Errorf("%w: %d nodes for tree of %d", ErrBadFormat, numNodes, len(t.Nodes))
+		return nil, nil, fmt.Errorf("%w: %d nodes for tree of %d", store.ErrBadStore, numNodes, len(t.Nodes))
 	}
 
 	// --- topo: per-node state ---
@@ -336,10 +363,9 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		}
 		if p != nil {
 			if p.N() != n {
-				return nil, nil, fmt.Errorf("%w: plan dimension %d for operator %d", ErrBadFormat, p.N(), n)
+				return nil, nil, fmt.Errorf("%w: plan dimension %d for operator %d", store.ErrBadStore, p.N(), n)
 			}
 			h.evalPlan.Store(p)
-			h.Cfg.CompilePlan = true
 			info.HasPlan = true
 			info.PlanDigest = p.DigestHex()
 		}
@@ -406,7 +432,7 @@ func decodeStorePlan(b []byte, t *tree.Tree, mats64 []*linalg.Matrix, mats32 []*
 		case idxIPerm:
 			op.Idx = t.IPerm
 		case idxInline:
-			op.Idx = r.ints(maxSerialDim)
+			op.Idx = r.ints(maxStoreDim)
 		default:
 			r.failf("op %d: index selector %d", i, sel)
 		}
@@ -417,7 +443,10 @@ func decodeStorePlan(b []byte, t *tree.Tree, mats64 []*linalg.Matrix, mats32 []*
 	if r.err() == nil && (numStages < 0 || numStages > r.remaining()/17) {
 		r.failf("%d stages in %d bytes", numStages, r.remaining())
 	}
-	specs := make([]plan.StageSpec, 0, max(numStages, 0))
+	if err := r.err(); err != nil {
+		return nil, err
+	}
+	specs := make([]plan.StageSpec, 0, numStages)
 	for s := 0; s < numStages && r.err() == nil; s++ {
 		var spec plan.StageSpec
 		spec.Name = string(r.blob(256))
@@ -444,7 +473,7 @@ func decodeStorePlan(b []byte, t *tree.Tree, mats64 []*linalg.Matrix, mats32 []*
 	}
 	if d := p.Digest(); string(d[:]) != string(storedDigest) {
 		return nil, fmt.Errorf("%w: plan digest mismatch: stored %s, reassembled %s",
-			ErrBadFormat, hex.EncodeToString(storedDigest), p.DigestHex())
+			store.ErrBadStore, hex.EncodeToString(storedDigest), p.DigestHex())
 	}
 	return p, nil
 }

@@ -73,7 +73,9 @@ func GetProblem(name string, n int, seed int64) Problem {
 }
 
 // Run compresses the problem with cfg, evaluates r right-hand sides, and
-// returns the Result row (ε₂ from 100 sampled rows, per Eq. 11).
+// returns the Result row (ε₂ from 100 sampled rows, per Eq. 11). The
+// evaluation runs the tree interpreter under cfg.Exec rather than the
+// compiled plan, so each row times the executor it names (Fig. 4, Table 5).
 func Run(p Problem, cfg core.Config, r int, seed int64) Result {
 	if cfg.Points == nil {
 		cfg.Points = p.Points
@@ -84,7 +86,7 @@ func Run(p Problem, cfg core.Config, r int, seed int64) Result {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	W := linalg.GaussianMatrix(rng, p.K.Dim(), r)
-	U := h.Matvec(W)
+	U := h.InterpMatvec(W)
 	eps := h.SampleRelErr(W, U, 100, seed+1)
 	evalS, evalFlops := h.LastEval()
 	res := Result{

@@ -93,9 +93,10 @@ func runTraced(p Problem, cfg core.Config, r int, seed int64) (Result, float64) 
 		panic(err)
 	}
 	res := Run(p, cfg, r, seed) // timing row from a clean run
-	// Placement from a traced evaluation of the same compression.
+	// Placement from a traced interpreter evaluation of the same
+	// compression (the compiled plan has no per-task placement).
 	W := linalg.GaussianMatrix(randNew(seed), p.K.Dim(), r)
-	h.Matvec(W)
+	h.InterpMatvec(W)
 	accel := map[int]bool{}
 	for wIdx, spec := range cfg.WorkerSpecs {
 		if spec.Accelerator {

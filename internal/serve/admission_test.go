@@ -41,10 +41,13 @@ func TestAdmissionShedsBeyondBound(t *testing.T) {
 			shed.Add(1)
 		}()
 	}
-	// Wait until the gate is saturated: everyone has either been shed or
-	// holds a slot/queue position.
+	// Wait until the gate is saturated: all 12 excess callers have been
+	// shed. admitted+shed is no signal, because queued waiters count as
+	// admitted only once a slot frees: 2 admitted + 10 shed already reads
+	// 12 while two callers have yet to try acquire, and releasing then
+	// would let them in.
 	deadline := time.Now().Add(2 * time.Second)
-	for admitted.Load()+shed.Load() < 12 && time.Now().Before(deadline) {
+	for shed.Load() < 12 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

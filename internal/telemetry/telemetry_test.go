@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +202,24 @@ func TestValidateRunRecord(t *testing.T) {
 		if err := ValidateRunRecord([]byte(bad)); err == nil {
 			t.Fatalf("%s: accepted %q", name, bad)
 		}
+	}
+}
+
+// WriteBenchFile creates a missing output directory: CI writes each of
+// several runs into its own fresh subdirectory.
+func TestWriteBenchFileCreatesDir(t *testing.T) {
+	rr := NewRunRecord("pr3")
+	rr.Metrics["matvec_ms"] = 1
+	path, err := rr.WriteBenchFile(filepath.Join(t.TempDir(), "runs", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateRunRecord(data); err != nil {
+		t.Fatal(err)
 	}
 }
 
