@@ -7,6 +7,7 @@ package gofmm
 // sampling) and micro-benchmarks of the linalg substrate.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -306,15 +307,6 @@ func matvecBenchSetup(b *testing.B, pooled bool) (*core.Hierarchical, *linalg.Ma
 	return h, linalg.GaussianMatrix(rng, p.K.Dim(), 4)
 }
 
-func BenchmarkEvaluatorReuse(b *testing.B) {
-	h, W := matvecBenchSetup(b, false)
-	ev := h.NewEvaluator(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Matvec(W)
-	}
-}
-
 func BenchmarkMatvecFreshBuffers(b *testing.B) {
 	h, W := matvecBenchSetup(b, false)
 	h.Cfg.Exec = core.Sequential
@@ -324,19 +316,23 @@ func BenchmarkMatvecFreshBuffers(b *testing.B) {
 	}
 }
 
-// BenchmarkMatvecPooled is the steady-state zero-allocation path: a pooled
-// evaluator writing into a caller-owned output. The allocs/op report is the
-// PR 3 acceptance metric (target: ≤10 in steady state).
+// BenchmarkMatvecPooled is the steady-state zero-allocation path: a pooled,
+// Sequential operator writing into a caller-owned output through
+// MatvecIntoCtx. The allocs/op report is the pooled-path acceptance metric
+// (0 in steady state).
 func BenchmarkMatvecPooled(b *testing.B) {
 	h, W := matvecBenchSetup(b, true)
-	ev := h.NewEvaluator(4)
-	defer ev.Close()
+	ctx := context.Background()
 	U := linalg.NewMatrix(W.Rows, 4)
-	ev.MatvecInto(W, U)
+	if err := h.MatvecIntoCtx(ctx, W, U); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.MatvecInto(W, U)
+		if err := h.MatvecIntoCtx(ctx, W, U); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -45,8 +46,8 @@ func pr3Bench(w io.Writer, n int, seed int64, rec *telemetry.Recorder) *telemetr
 	rr.Metrics["gemm512_gflops"] = gemmGF
 	fmt.Fprintf(w, "gemm 512x512x512: %.2f GFLOPS\n", gemmGF)
 
-	// Compressed matvec: fresh-buffer path vs pooled evaluator path on the
-	// same operator and weights.
+	// Compressed matvec: fresh-buffer path vs pooled caller-owned-output
+	// path on the same operator and weights.
 	p := experiments.GetProblem("K02", n, seed)
 	const r = 16
 	cfg := core.Config{
@@ -72,20 +73,24 @@ func pr3Bench(w io.Writer, n int, seed int64, rec *telemetry.Recorder) *telemetr
 	}
 	rr.Metrics["matvec_ms"] = fresh.Seconds() * 1e3
 
-	ev := h.NewEvaluator(r)
-	defer ev.Close()
+	ctx := context.Background()
 	U := linalg.NewMatrix(p.K.Dim(), r)
-	ev.MatvecInto(W, U)
+	matvecInto := func() {
+		if err := h.MatvecIntoCtx(ctx, W, U); err != nil {
+			panic(err)
+		}
+	}
+	matvecInto()
 	pooled := time.Duration(1 << 62)
 	for rep := 0; rep < 5; rep++ {
 		t0 := time.Now()
-		ev.MatvecInto(W, U)
+		matvecInto()
 		if d := time.Since(t0); d < pooled {
 			pooled = d
 		}
 	}
 	rr.Metrics["matvec_pooled_ms"] = pooled.Seconds() * 1e3
-	allocs := testing.AllocsPerRun(10, func() { ev.MatvecInto(W, U) })
+	allocs := testing.AllocsPerRun(10, matvecInto)
 	rr.Metrics["matvec_pooled_allocs"] = allocs
 	st := h.Cfg.Workspace.Stats()
 	rr.Metrics["workspace_hits"] = float64(st.Hits)

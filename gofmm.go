@@ -27,6 +27,15 @@
 //	U := H.Matvec(W)                           // ≈ K·W in O(N·r) time
 //	eps := H.SampleRelErr(W, U, 100, 0)        // sampled relative error
 //
+// Every evaluation — MatvecCtx, MatmatCtx, MatvecIntoCtx (into a
+// caller-owned output, allocation-free in steady state on a pooled,
+// Sequential operator; the solver-loop form) and the BatchEvaluator — goes
+// through one envelope: validated input, typed errors, a panic backstop, a
+// root span under the request's trace ID and the matvec.*/matmat.*
+// counters. It replays the compiled plan that Compress installs whenever
+// Config.CacheBlocks is set, and otherwise walks the tree interpreter,
+// which InterpMatvecCtx/InterpMatmatCtx also pin as the reference path.
+//
 // See the examples directory for runnable programs and DESIGN.md for the
 // mapping between this library and the paper.
 package gofmm
@@ -295,9 +304,9 @@ func NewFlightRecorder(rec *Recorder, n int) *FlightRecorder {
 }
 
 // ContextWithTraceID returns ctx tagged with a request trace ID. The ID
-// rides through MatvecCtx/MatmatCtx and the BatchEvaluator onto every span
-// the request produces, linking coalesced requests to the batch flush that
-// served them. An empty id returns ctx unchanged.
+// rides through MatvecCtx/MatmatCtx/MatvecIntoCtx and the BatchEvaluator
+// onto every span the request produces, linking coalesced requests to the
+// batch flush that served them. An empty id returns ctx unchanged.
 func ContextWithTraceID(ctx context.Context, id string) context.Context {
 	return telemetry.ContextWithTraceID(ctx, id)
 }
@@ -330,13 +339,6 @@ type WorkspaceStats = workspace.Stats
 
 // NewWorkspacePool returns an empty workspace pool.
 func NewWorkspacePool() *WorkspacePool { return workspace.New() }
-
-// Evaluator is a handle for repeated matvecs with a fixed number of
-// right-hand sides (the iterative-solver workload). Obtain one with
-// Hierarchical.NewEvaluator(r). With the compiled plan installed (every
-// CacheBlocks compression) MatvecInto replays it and performs no heap
-// allocation in steady state; without one it runs the tree interpreter.
-type Evaluator = core.Evaluator
 
 // --- Batched evaluation --------------------------------------------------
 

@@ -6,11 +6,12 @@ package gofmm
 // headroom over measured values — they catch a kernel or compression
 // regression that degrades accuracy, not run-to-run noise. The same table
 // doubles as the pooled-correctness gate: attaching a workspace pool (and
-// using the reusable Evaluator) must reproduce the unpooled result to 1e-14,
-// because pooling only changes where buffers come from, never which kernels
-// run or in what order.
+// writing into a caller-owned output) must reproduce the unpooled result to
+// 1e-14, because pooling only changes where buffers come from, never which
+// kernels run or in what order.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,11 +97,12 @@ func TestAccuracyGoldenTable(t *testing.T) {
 			if d := maxAbsDiffMat(U, Up); d > 1e-14*scale {
 				t.Errorf("pooled Matvec deviates from unpooled by %.3e (allow %.3e)", d, 1e-14*scale)
 			}
-			ev := h.NewEvaluator(W.Cols)
-			defer ev.Close()
-			Ue := ev.Matvec(W)
+			Ue := NewMatrix(W.Rows, W.Cols)
+			if err := h.MatvecIntoCtx(context.Background(), W, Ue); err != nil {
+				t.Fatal(err)
+			}
 			if d := maxAbsDiffMat(U, Ue); d > 1e-14*scale {
-				t.Errorf("pooled Evaluator deviates from unpooled by %.3e (allow %.3e)", d, 1e-14*scale)
+				t.Errorf("pooled MatvecIntoCtx deviates from unpooled by %.3e (allow %.3e)", d, 1e-14*scale)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,11 +45,13 @@ func TestSinglePrecisionCacheAccuracyAndMemory(t *testing.T) {
 	if float64(b32) > 0.75*float64(b64) {
 		t.Fatalf("fp32 cache saved too little: %d vs %d bytes", b32, b64)
 	}
-	// Evaluator path must honor the fp32 cache too.
-	ev := h32.NewEvaluator(3)
-	Uev := ev.Matvec(W)
+	// The caller-owned-output path must honor the fp32 cache too.
+	Uev := linalg.NewMatrix(W.Rows, W.Cols)
+	if err := h32.MatvecIntoCtx(context.Background(), W, Uev); err != nil {
+		t.Fatal(err)
+	}
 	if !linalg.EqualApprox(Uev, U32, 0) {
-		t.Fatal("evaluator fp32 path differs from Matvec")
+		t.Fatal("MatvecIntoCtx fp32 path differs from Matvec")
 	}
 }
 

@@ -210,13 +210,9 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 	return h, nil
 }
 
-// compressFlops / evalFlops are atomic flop counters (units: flops).
+// addCompressFlops adds to the atomic compression flop counter.
 func (h *Hierarchical) addCompressFlops(f float64) {
 	atomic.AddInt64(&h.compressFlops, int64(f))
-}
-
-func (h *Hierarchical) addEvalFlops(f float64) {
-	atomic.AddInt64(&h.evalFlops, int64(f))
 }
 
 // nodeRng returns a deterministic per-node RNG so results do not depend on

@@ -353,7 +353,7 @@ type Hierarchical struct {
 	// queue-wait and steal-origin detail).
 	LastTrace []sched.Event
 
-	compressFlops, evalFlops int64 // atomic counters
+	compressFlops int64 // atomic counter
 
 	// statsMu serializes the "last evaluation" writes into Stats
 	// (EvalTime/EvalFlops). One Hierarchical legitimately serves many

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
 	"gofmm/internal/telemetry"
@@ -79,10 +79,19 @@ func (h *Hierarchical) Matvec(W *linalg.Matrix) *linalg.Matrix {
 // executors, within) the four phases, and a panic in any task body surfaces
 // as a *resilience.PanicError instead of escaping.
 func (h *Hierarchical) MatvecCtx(ctx context.Context, W *linalg.Matrix) (*linalg.Matrix, error) {
-	if p := h.evalPlan.Load(); p != nil {
-		return h.replayBlock(ctx, p, W, "matvec")
-	}
-	return h.evalBlock(ctx, W, "matvec")
+	return h.evaluate(ctx, "matvec", h.evalPlan.Load(), W, nil, false)
+}
+
+// MatvecIntoCtx is MatvecCtx writing into the caller-owned n×r output U —
+// the iterative-solver workload (CG, block Krylov, Monte Carlo sampling),
+// where per-call allocation would otherwise dominate at small r. With the
+// compiled plan installed (every CacheBlocks compression) a Sequential
+// operator with a workspace pool replays it without heap allocation in
+// steady state. A nil or mis-shaped W or U returns ErrInvalidInput. W and U
+// may not alias.
+func (h *Hierarchical) MatvecIntoCtx(ctx context.Context, W, U *linalg.Matrix) error {
+	_, err := h.evaluate(ctx, "matvec", h.evalPlan.Load(), W, U, true)
+	return err
 }
 
 // InterpMatvec is the uncancellable form of InterpMatvecCtx; it panics on
@@ -100,7 +109,7 @@ func (h *Hierarchical) InterpMatvec(W *linalg.Matrix) *linalg.Matrix {
 // reference path — the oracle the plan equivalence suite compares against —
 // and is also useful for A/B benchmarks (see `repro pr8`).
 func (h *Hierarchical) InterpMatvecCtx(ctx context.Context, W *linalg.Matrix) (*linalg.Matrix, error) {
-	return h.evalBlock(ctx, W, "matvec")
+	return h.evaluate(ctx, "matvec", nil, W, nil, false)
 }
 
 // noteEval records the cost of the evaluation that just finished into
@@ -124,90 +133,69 @@ func (h *Hierarchical) LastEval() (seconds, flops float64) {
 	return h.Stats.EvalTime, h.Stats.EvalFlops
 }
 
-// evalBlock is the shared four-pass block evaluation behind MatvecCtx and
-// MatmatCtx: one symbolic traversal and one workspace scope serve the whole
-// n×r block, so the per-pass kernels are r-wide GEMMs. op names the
-// telemetry span and counters ("matvec" or "matmat").
-func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op string) (U *linalg.Matrix, err error) {
+// evaluate is the one envelope around Algorithm 2.7 behind every public
+// Matvec/Matmat entry point. It validates W (and, when into is set, the
+// caller-owned output U; otherwise the result is freshly allocated),
+// honours ctx, guards the interpreter against missing oracle entries,
+// opens the root span under the context's trace ID, turns any panic into a
+// *resilience.PanicError funneled to the flight recorder, and accounts the
+// call in Stats and the op.* telemetry. The only engine-specific step runs
+// p's replay, or the tree interpreter when p is nil. op names the span and
+// counters ("matvec" or "matmat").
+func (h *Hierarchical) evaluate(ctx context.Context, op string, p *plan.Plan, W, U *linalg.Matrix, into bool) (out *linalg.Matrix, err error) {
 	rec := h.Cfg.Telemetry
 	tid, _ := telemetry.TraceIDFrom(ctx)
-	// Backstop: no panic escapes the public entry points. The crash is
-	// funneled to the flight recorder before the typed error returns.
+	// Backstop: no panic escapes the public entry points (kernel bugs and
+	// injected faults alike). The crash is funneled to the flight recorder
+	// before the typed error returns.
 	defer func() {
 		if r := recover(); r != nil {
 			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
 			rec.ReportCrash(op, tid, perr)
-			U, err = nil, perr
+			out, err = nil, perr
 		}
 	}()
 	n := h.K.Dim()
-	if W == nil {
+	switch {
+	case W == nil:
 		return nil, fmt.Errorf("%w: core: %s weights are nil", resilience.ErrInvalidInput, op)
-	}
-	if W.Rows != n {
+	case W.Rows != n:
 		return nil, fmt.Errorf("%w: core: %s with %d rows, matrix dim %d",
 			resilience.ErrInvalidInput, op, W.Rows, n)
+	case into && U == nil:
+		return nil, fmt.Errorf("%w: core: %s output is nil", resilience.ErrInvalidInput, op)
+	case into && (U.Rows != n || U.Cols != W.Cols):
+		return nil, fmt.Errorf("%w: core: %s into a %d×%d output, want %d×%d",
+			resilience.ErrInvalidInput, op, U.Rows, U.Cols, n, W.Cols)
 	}
-	if err := h.requireEvalOracle(op); err != nil {
-		return nil, err
+	if p == nil {
+		if err := h.requireEvalOracle(op); err != nil {
+			return nil, err
+		}
 	}
 	if err := resilience.FromContext(ctx); err != nil {
 		return nil, err
 	}
+	if rec != nil && op == "matmat" {
+		// How well the BatchEvaluator coalesces, as a width distribution.
+		rec.Histogram("matmat.width").Observe(float64(W.Cols))
+	}
 	start := time.Now()
 	root := rec.StartSpan(op)
-	// Idempotent safety net: if a kernel panics mid-pass the span still ends
-	// (and reaches the flight recorder) before the backstop above reports.
+	// Idempotent safety net: if a kernel panics the span still ends (and
+	// reaches the flight recorder) before the backstop above reports.
 	defer root.End()
 	root.SetAttr(telemetry.AttrTraceID, tid)
-	atomic.StoreInt64(&h.evalFlops, 0)
-	t := h.Tree
-	pool := h.Cfg.Workspace
-	st := &evalState{
-		r:     W.Cols,
-		Wt:    pool.GetMatrix(n, W.Cols),
-		Unear: pool.GetMatrix(n, W.Cols),
-		Ufar:  pool.GetMatrix(n, W.Cols),
-		skelW: make([]*linalg.Matrix, len(t.Nodes)),
-		skelU: make([]*linalg.Matrix, len(t.Nodes)),
-		down:  make([]*linalg.Matrix, len(t.Nodes)),
-		pool:  pool,
+	if !into {
+		U = linalg.NewMatrix(n, W.Cols)
 	}
-	// Release everything back to the pool on every exit path; the returned U
-	// below is always freshly allocated, never pooled.
-	defer st.release()
-	W.RowsGatherInto(t.Perm, st.Wt)
-	switch h.Cfg.Exec {
-	case Sequential:
-		sp := root.StartSpan("N2S")
-		t.PostOrder(func(nd *tree.Node) { h.n2s(st, nd.ID) })
-		sp.End()
-		if err = resilience.FromContext(ctx); err != nil {
-			break
+	if p != nil {
+		if root != nil {
+			root.SetAttr("plan.digest", p.DigestHex()[:12])
 		}
-		sp = root.StartSpan("S2S")
-		for id := range t.Nodes {
-			h.s2s(st, id)
-		}
-		sp.End()
-		if err = resilience.FromContext(ctx); err != nil {
-			break
-		}
-		sp = root.StartSpan("S2N")
-		t.PreOrder(func(nd *tree.Node) { h.s2n(st, nd.ID) })
-		sp.End()
-		if err = resilience.FromContext(ctx); err != nil {
-			break
-		}
-		sp = root.StartSpan("L2L")
-		for _, beta := range t.Leaves() {
-			h.l2l(st, beta)
-		}
-		sp.End()
-	case LevelByLevel:
-		err = h.evalLevelByLevel(ctx, st, root)
-	case Dynamic, TaskDepend:
-		err = h.evalTasked(ctx, st, root)
+		err = p.Execute(ctx, W, U, h.replayOptions())
+	} else {
+		err = h.interpret(ctx, W, U, root)
 	}
 	if err != nil {
 		root.SetAttr("error", err.Error())
@@ -220,20 +208,105 @@ func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op strin
 		}
 		return nil, err
 	}
-	st.Ufar.AddScaled(1, st.Unear)
-	U = st.Ufar.RowsGather(t.IPerm)
+	flops := h.flopsPerCol() * float64(W.Cols)
 	secs := time.Since(start).Seconds()
 	if d := root.End(); d > 0 {
 		secs = d.Seconds()
 	}
-	h.noteEval(secs, float64(atomic.LoadInt64(&h.evalFlops)))
+	h.noteEval(secs, flops)
 	if rec != nil {
 		rec.Counter(op + ".calls").Add(1)
-		rec.Counter(op + ".flops").Add(atomic.LoadInt64(&h.evalFlops))
+		rec.Counter(op + ".flops").Add(int64(flops))
 		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
 		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
 	}
 	return U, nil
+}
+
+// replayOptions is the one worker and fault-injection policy of every plan
+// replay: Sequential replays on the calling goroutine, every other executor
+// fans parallel stages out over the configured workers.
+func (h *Hierarchical) replayOptions() plan.ExecOptions {
+	opts := plan.ExecOptions{Workers: 1, Pool: h.Cfg.Workspace, Telemetry: h.Cfg.Telemetry}
+	if h.Cfg.Exec != Sequential {
+		opts.Workers = h.Cfg.workerCount()
+	}
+	if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
+		opts.Inject = c.TaskFail
+	}
+	return opts
+}
+
+// interpret is the tree-interpreter engine: it walks the four passes of
+// Algorithm 2.7 over one n×r block under the configured executor and writes
+// K̃·W into U. One symbolic traversal and one workspace scope serve the
+// whole block, so the per-pass kernels are r-wide GEMMs. root is the
+// evaluation span (nil when telemetry is off); each pass gets a child.
+func (h *Hierarchical) interpret(ctx context.Context, W, U *linalg.Matrix, root *telemetry.Span) error {
+	t := h.Tree
+	n := h.K.Dim()
+	pool := h.Cfg.Workspace
+	st := &evalState{
+		r:     W.Cols,
+		Wt:    pool.GetMatrix(n, W.Cols),
+		Unear: pool.GetMatrix(n, W.Cols),
+		Ufar:  pool.GetMatrix(n, W.Cols),
+		skelW: make([]*linalg.Matrix, len(t.Nodes)),
+		skelU: make([]*linalg.Matrix, len(t.Nodes)),
+		down:  make([]*linalg.Matrix, len(t.Nodes)),
+		pool:  pool,
+	}
+	// Release everything back to the pool on every exit path; U is the
+	// caller's, never pooled.
+	defer st.release()
+	W.RowsGatherInto(t.Perm, st.Wt)
+	var err error
+	switch h.Cfg.Exec {
+	case Sequential:
+		err = h.evalSequential(ctx, st, root)
+	case LevelByLevel:
+		err = h.evalLevelByLevel(ctx, st, root)
+	case Dynamic, TaskDepend:
+		err = h.evalTasked(ctx, st, root)
+	}
+	if err != nil {
+		return err
+	}
+	st.Ufar.AddScaled(1, st.Unear)
+	st.Ufar.RowsGatherInto(t.IPerm, U)
+	return nil
+}
+
+// evalSequential runs the four passes in order on the calling goroutine,
+// honouring the context between passes.
+func (h *Hierarchical) evalSequential(ctx context.Context, st *evalState, root *telemetry.Span) error {
+	t := h.Tree
+	sp := root.StartSpan("N2S")
+	t.PostOrder(func(nd *tree.Node) { h.n2s(st, nd.ID) })
+	sp.End()
+	if err := resilience.FromContext(ctx); err != nil {
+		return err
+	}
+	sp = root.StartSpan("S2S")
+	for id := range t.Nodes {
+		h.s2s(st, id)
+	}
+	sp.End()
+	if err := resilience.FromContext(ctx); err != nil {
+		return err
+	}
+	sp = root.StartSpan("S2N")
+	t.PreOrder(func(nd *tree.Node) { h.s2n(st, nd.ID) })
+	sp.End()
+	if err := resilience.FromContext(ctx); err != nil {
+		return err
+	}
+	sp = root.StartSpan("L2L")
+	for _, beta := range t.Leaves() {
+		h.l2l(st, beta)
+	}
+	sp.End()
+	return nil
 }
 
 // n2s computes the skeleton weights w̃α = P_α̃α w_α (leaf) or
@@ -250,13 +323,11 @@ func (h *Hierarchical) n2s(st *evalState, id int) {
 		tn := &t.Nodes[id]
 		wview := st.Wt.View(tn.Lo, 0, tn.Size(), st.r)
 		linalg.Gemm(false, false, 1, nd.proj, wview, 0, out)
-		h.addEvalFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
 	} else {
 		wl := st.skelW[t.Left(id)]
 		wr := st.skelW[t.Right(id)]
 		stacked := st.stackRows(wl, wr)
 		linalg.Gemm(false, false, 1, nd.proj, stacked, 0, out)
-		h.addEvalFlops(2 * float64(s) * float64(stacked.Rows) * float64(st.r))
 		if st.pool != nil {
 			st.pool.PutMatrix(stacked) // transient: safe to recycle immediately
 		}
@@ -279,7 +350,6 @@ func (h *Hierarchical) s2s(st *evalState, id int) {
 		if nd.cacheFar32 != nil {
 			b := nd.cacheFar32[k]
 			linalg.GemmMixed(1, b, wa, 1, acc)
-			h.addEvalFlops(2 * float64(b.Rows) * float64(b.Cols) * float64(st.r))
 			continue
 		}
 		var block *linalg.Matrix
@@ -289,7 +359,6 @@ func (h *Hierarchical) s2s(st *evalState, id int) {
 			block = NewGathered(h.K, nd.skel, h.nodes[alpha].skel)
 		}
 		linalg.Gemm(false, false, 1, block, wa, 1, acc)
-		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
 	}
 	st.skelU[id] = acc
 }
@@ -324,12 +393,10 @@ func (h *Hierarchical) s2n(st *evalState, id int) {
 		tn := &t.Nodes[id]
 		uview := st.Ufar.View(tn.Lo, 0, tn.Size(), st.r)
 		linalg.Gemm(true, false, 1, nd.proj, u, 1, uview)
-		h.addEvalFlops(2 * float64(nd.proj.Rows) * float64(tn.Size()) * float64(st.r))
 	} else {
 		down := st.getMat(nd.proj.Cols, st.r)
 		linalg.Gemm(true, false, 1, nd.proj, u, 0, down)
 		st.down[id] = down
-		h.addEvalFlops(2 * float64(nd.proj.Rows) * float64(nd.proj.Cols) * float64(st.r))
 	}
 }
 
@@ -346,7 +413,6 @@ func (h *Hierarchical) l2l(st *evalState, beta int) {
 		if nd.cacheNear32 != nil {
 			b := nd.cacheNear32[k]
 			linalg.GemmMixed(1, b, wview, 1, uview)
-			h.addEvalFlops(2 * float64(b.Rows) * float64(b.Cols) * float64(st.r))
 			continue
 		}
 		var block *linalg.Matrix
@@ -356,7 +422,6 @@ func (h *Hierarchical) l2l(st *evalState, beta int) {
 			block = NewGathered(h.K, t.Indices(beta), t.Indices(alpha))
 		}
 		linalg.Gemm(false, false, 1, block, wview, 1, uview)
-		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -8,6 +10,7 @@ import (
 	"testing/quick"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/resilience"
 )
 
 func TestMatvecNearExactWithTightTolerance(t *testing.T) {
@@ -339,5 +342,73 @@ func TestMatvecPropertyLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// matvecInto is MatvecIntoCtx into a fresh caller-owned output.
+func matvecInto(t *testing.T, h *Hierarchical, W *linalg.Matrix) *linalg.Matrix {
+	t.Helper()
+	U := linalg.NewMatrix(W.Rows, W.Cols)
+	if err := h.MatvecIntoCtx(context.Background(), W, U); err != nil {
+		t.Fatal(err)
+	}
+	return U
+}
+
+func TestMatvecIntoMatchesMatvec(t *testing.T) {
+	for _, budget := range []float64{0, 0.15} {
+		h, _ := compressGauss(t, 400, Config{
+			LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: budget,
+			Distance: Kernel, Exec: Sequential, Seed: 150, CacheBlocks: true,
+		})
+		rng := rand.New(rand.NewSource(151))
+		for trial := 0; trial < 3; trial++ {
+			W := linalg.GaussianMatrix(rng, 400, 3)
+			want := h.Matvec(W)
+			got := matvecInto(t, h, W)
+			if !linalg.EqualApprox(got, want, 0) {
+				t.Fatalf("budget %g trial %d: MatvecIntoCtx differs (max |Δ| = %g)",
+					budget, trial, maxAbsDiff(got, want))
+			}
+		}
+	}
+}
+
+func TestMatvecIntoRepeatedCallsIndependent(t *testing.T) {
+	h, _ := compressGauss(t, 300, Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
+		Distance: Kernel, Exec: Sequential, Seed: 152, CacheBlocks: true,
+	})
+	rng := rand.New(rand.NewSource(153))
+	W := linalg.GaussianMatrix(rng, 300, 2)
+	first := matvecInto(t, h, W)
+	// A different input in between must not contaminate a repeat call.
+	matvecInto(t, h, linalg.GaussianMatrix(rng, 300, 2))
+	second := matvecInto(t, h, W)
+	if !linalg.EqualApprox(first, second, 0) {
+		t.Fatal("evaluation state leaked between calls")
+	}
+}
+
+// TestMatvecIntoRejectsInvalidInput: a nil or mis-shaped input or output
+// is a typed ErrInvalidInput, never a panic, with or without a plan.
+func TestMatvecIntoRejectsInvalidInput(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		h, _ := compressGauss(t, 200, Config{
+			LeafSize: 32, Kappa: 8, Budget: 0, Distance: Kernel,
+			Exec: Sequential, Seed: 154, Tol: 1e-4, CacheBlocks: cached,
+		})
+		ctx := context.Background()
+		for name, wu := range map[string][2]*linalg.Matrix{
+			"nil W":    {nil, linalg.NewMatrix(200, 2)},
+			"nil U":    {linalg.NewMatrix(200, 2), nil},
+			"short W":  {linalg.NewMatrix(199, 2), linalg.NewMatrix(200, 2)},
+			"narrow U": {linalg.NewMatrix(200, 3), linalg.NewMatrix(200, 2)},
+			"short U":  {linalg.NewMatrix(200, 2), linalg.NewMatrix(199, 2)},
+		} {
+			if err := h.MatvecIntoCtx(ctx, wu[0], wu[1]); !errors.Is(err, resilience.ErrInvalidInput) {
+				t.Fatalf("cached=%v %s: want ErrInvalidInput, got %v", cached, name, err)
+			}
+		}
 	}
 }

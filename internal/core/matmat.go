@@ -29,20 +29,11 @@ func (h *Hierarchical) Matmat(X *linalg.Matrix) *linalg.Matrix {
 // "matmat.width" histogram so a serving deployment can see how well the
 // BatchEvaluator is coalescing.
 func (h *Hierarchical) MatmatCtx(ctx context.Context, X *linalg.Matrix) (*linalg.Matrix, error) {
-	if rec := h.Cfg.Telemetry; rec != nil && X != nil {
-		rec.Histogram("matmat.width").Observe(float64(X.Cols))
-	}
-	if p := h.evalPlan.Load(); p != nil {
-		return h.replayBlock(ctx, p, X, "matmat")
-	}
-	return h.evalBlock(ctx, X, "matmat")
+	return h.evaluate(ctx, "matmat", h.evalPlan.Load(), X, nil, false)
 }
 
 // InterpMatmatCtx is MatmatCtx pinned to the tree interpreter, bypassing any
 // installed compiled plan — the reference path of the equivalence suite.
 func (h *Hierarchical) InterpMatmatCtx(ctx context.Context, X *linalg.Matrix) (*linalg.Matrix, error) {
-	if rec := h.Cfg.Telemetry; rec != nil && X != nil {
-		rec.Histogram("matmat.width").Observe(float64(X.Cols))
-	}
-	return h.evalBlock(ctx, X, "matmat")
+	return h.evaluate(ctx, "matmat", nil, X, nil, false)
 }

@@ -25,21 +25,33 @@ func TestPlanReplayInjectedPanicBecomesTypedError(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(21))
 	W := linalg.GaussianMatrix(rng, 256, 1)
-	_, err := h.MatvecCtx(context.Background(), W)
-	var perr *resilience.PanicError
-	if !errors.As(err, &perr) {
-		t.Fatalf("injected replay fault surfaced as %v, want *resilience.PanicError", err)
-	}
-	if perr.Label != "matvec" {
-		t.Fatalf("panic label %q, want matvec", perr.Label)
-	}
-	if h.Plan() == nil {
-		t.Fatal("injected fault uninstalled the plan")
-	}
-	// With the injector gone the same plan serves the same request.
-	h.Cfg.Chaos = nil
-	if _, err := h.MatvecCtx(context.Background(), W); err != nil {
-		t.Fatalf("plan poisoned by injected fault: %v", err)
+	U := linalg.NewMatrix(256, 1)
+	// Both entry points replay through the same envelope, so injection
+	// reaches the caller-owned-output path too.
+	for name, eval := range map[string]func() error{
+		"MatvecCtx": func() error {
+			_, err := h.MatvecCtx(context.Background(), W)
+			return err
+		},
+		"MatvecIntoCtx": func() error { return h.MatvecIntoCtx(context.Background(), W, U) },
+	} {
+		h.Cfg.Chaos = chaos
+		err := eval()
+		var perr *resilience.PanicError
+		if !errors.As(err, &perr) {
+			t.Fatalf("%s: injected replay fault surfaced as %v, want *resilience.PanicError", name, err)
+		}
+		if perr.Label != "matvec" {
+			t.Fatalf("%s: panic label %q, want matvec", name, perr.Label)
+		}
+		if h.Plan() == nil {
+			t.Fatalf("%s: injected fault uninstalled the plan", name)
+		}
+		// With the injector gone the same plan serves the same request.
+		h.Cfg.Chaos = nil
+		if err := eval(); err != nil {
+			t.Fatalf("%s: plan poisoned by injected fault: %v", name, err)
+		}
 	}
 }
 

@@ -2,16 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/debug"
-	"sync/atomic"
 	"time"
 
-	"gofmm/internal/linalg"
 	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
-	"gofmm/internal/telemetry"
 )
 
 // CompilePlan lowers the four-pass traversal into a flat execution plan
@@ -21,8 +16,8 @@ func (h *Hierarchical) CompilePlan() (*plan.Plan, error) {
 }
 
 // CompilePlanCtx compiles the N2S/S2S/S2N/L2L traversal into a flat,
-// replayable schedule and installs it: subsequent MatvecCtx/MatmatCtx calls
-// (and Evaluator/BatchEvaluator traffic) replay the plan instead of
+// replayable schedule and installs it: subsequent MatvecCtx/MatmatCtx/
+// MatvecIntoCtx calls (and BatchEvaluator traffic) replay the plan instead of
 // re-walking the tree. Compilation is idempotent — the first call builds,
 // later calls return the installed plan. CompressCtx already installs it
 // whenever CacheBlocks is set. The tree interpreter remains available as
@@ -79,6 +74,78 @@ func (h *Hierarchical) CompilePlanCtx(ctx context.Context) (*plan.Plan, error) {
 // runs through the tree interpreter.
 func (h *Hierarchical) Plan() *plan.Plan { return h.evalPlan.Load() }
 
+// reach decides which per-node buffers of Algorithm 2.7 exist, mirroring
+// the interpreter's dynamic nil checks: hasS2S — s2s allocates ũ; hasU — ũ
+// exists (own far interactions or a parent hand-down); hasDown — the node
+// hands Pᵀũ to its children. Parents precede children in heap order, so one
+// forward sweep settles it. lowerPlan and flopsPerCol share these rules, so
+// the plan and the interpreter's flop count agree on which kernels run.
+func (h *Hierarchical) reach() (hasS2S, hasU, hasDown []bool) {
+	t := h.Tree
+	nn := len(t.Nodes)
+	hasS2S = make([]bool, nn)
+	hasU = make([]bool, nn)
+	hasDown = make([]bool, nn)
+	for id := 0; id < nn; id++ {
+		nd := &h.nodes[id]
+		s := len(nd.skel)
+		hasS2S[id] = len(nd.far) > 0 && s > 0
+		hasU[id] = hasS2S[id]
+		if p := t.Parent(id); p >= 0 && hasDown[p] && s > 0 {
+			hasU[id] = true
+		}
+		hasDown[id] = !t.IsLeaf(id) && nd.proj != nil && hasU[id] && s > 0
+	}
+	return hasS2S, hasU, hasDown
+}
+
+// projRows is the row count of node id's interpolation basis: the rows of
+// its skeleton weights w̃ (0 when it has no basis).
+func (h *Hierarchical) projRows(id int) int {
+	if h.nodes[id].proj == nil {
+		return 0
+	}
+	return h.nodes[id].proj.Rows
+}
+
+// flopsPerCol is the static per-column flop count of one evaluation, the
+// same for both engines: the installed plan's FlopsPerCol, or, with no plan
+// installed, a symbolic count — gathering no block — of the GEMMs lowerPlan
+// would emit (2·m·k each; moves are free): N2S per basis, S2S per far
+// source with skeleton weights, S2N per basis with reachable ũ, and L2L per
+// near pair.
+func (h *Hierarchical) flopsPerCol() float64 {
+	if p := h.evalPlan.Load(); p != nil {
+		return p.FlopsPerCol()
+	}
+	t := h.Tree
+	hasS2S, hasU, _ := h.reach()
+	gemm := func(m, k int) float64 { return 2 * float64(m) * float64(k) }
+	var f float64
+	for id := range h.nodes {
+		nd := &h.nodes[id]
+		if proj := nd.proj; proj != nil {
+			f += gemm(proj.Rows, proj.Cols)
+			if hasU[id] && len(nd.skel) > 0 {
+				f += gemm(proj.Rows, proj.Cols)
+			}
+		}
+		if hasS2S[id] {
+			for _, alpha := range nd.far {
+				if h.projRows(alpha) > 0 {
+					f += gemm(len(nd.skel), len(h.nodes[alpha].skel))
+				}
+			}
+		}
+		if t.IsLeaf(id) {
+			for _, alpha := range nd.near {
+				f += gemm(t.Nodes[id].Size(), t.Nodes[alpha].Size())
+			}
+		}
+	}
+	return f
+}
+
 // lowerPlan performs the symbolic traversal once and emits the flat
 // schedule. The emitted op sequence reproduces the interpreter's kernel
 // calls exactly: the same GEMMs against the same operands in the same
@@ -98,23 +165,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	nn := len(t.Nodes)
 	b := plan.NewBuilder(n)
 
-	// Reachability mirrors the interpreter's dynamic nil checks: hasS2S —
-	// s2s allocates ũ; hasU — ũ exists (own far interactions or a parent
-	// hand-down); hasDown — the node hands Pᵀũ to its children. Parents
-	// precede children in heap order, so one forward sweep settles it.
-	hasS2S := make([]bool, nn)
-	hasU := make([]bool, nn)
-	hasDown := make([]bool, nn)
-	for id := 0; id < nn; id++ {
-		nd := &h.nodes[id]
-		s := len(nd.skel)
-		hasS2S[id] = len(nd.far) > 0 && s > 0
-		hasU[id] = hasS2S[id]
-		if p := t.Parent(id); p >= 0 && hasDown[p] && s > 0 {
-			hasU[id] = true
-		}
-		hasDown[id] = !t.IsLeaf(id) && nd.proj != nil && hasU[id] && s > 0
-	}
+	hasS2S, hasU, hasDown := h.reach()
 
 	// Region allocation. Sibling skeleton-weight buffers are laid out as
 	// the two halves of the parent's stacked N2S input, which removes the
@@ -126,18 +177,12 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	stacked := make([]plan.Ref, nn) // [w̃l; w̃r] per interior node with a basis
 	skelU := make([]plan.Ref, nn)   // ũ per node with hasU
 	down := make([]plan.Ref, nn)    // Pᵀũ per node with hasDown
-	projRows := func(id int) int {
-		if h.nodes[id].proj == nil {
-			return 0
-		}
-		return h.nodes[id].proj.Rows
-	}
 	for id := 0; id < nn; id++ {
 		if t.IsLeaf(id) {
 			continue
 		}
 		l, r := t.Left(id), t.Right(id)
-		ra, rb := projRows(l), projRows(r)
+		ra, rb := h.projRows(l), h.projRows(r)
 		if h.nodes[id].proj != nil {
 			base := b.Alloc(ra + rb)
 			stacked[id] = plan.Ref{Base: base, Sub: 0, Rows: ra + rb, Span: ra + rb}
@@ -323,73 +368,4 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	b.Scatter(ufar, t.IPerm)
 
 	return b.Build()
-}
-
-// replayBlock is the compiled counterpart of evalBlock: it validates,
-// spans and accounts identically, but evaluates by replaying the installed
-// plan instead of walking the tree.
-func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W *linalg.Matrix, op string) (U *linalg.Matrix, err error) {
-	rec := h.Cfg.Telemetry
-	tid, _ := telemetry.TraceIDFrom(ctx)
-	// Backstop: no panic escapes the public entry points (kernel bugs and
-	// injected replay faults alike become typed errors).
-	defer func() {
-		if r := recover(); r != nil {
-			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
-			rec.ReportCrash(op, tid, perr)
-			U, err = nil, perr
-		}
-	}()
-	n := h.K.Dim()
-	if W == nil {
-		return nil, fmt.Errorf("%w: core: %s weights are nil", resilience.ErrInvalidInput, op)
-	}
-	if W.Rows != n {
-		return nil, fmt.Errorf("%w: core: %s with %d rows, matrix dim %d",
-			resilience.ErrInvalidInput, op, W.Rows, n)
-	}
-	if err := resilience.FromContext(ctx); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	root := rec.StartSpan(op)
-	defer root.End()
-	root.SetAttr(telemetry.AttrTraceID, tid)
-	root.SetAttr("plan.digest", p.DigestHex()[:12])
-	workers := 1
-	if h.Cfg.Exec != Sequential {
-		workers = h.Cfg.workerCount()
-	}
-	opts := plan.ExecOptions{
-		Workers:   workers,
-		Pool:      h.Cfg.Workspace,
-		Telemetry: rec,
-	}
-	if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
-		opts.Inject = c.TaskFail
-	}
-	U = linalg.NewMatrix(n, W.Cols)
-	if err = p.Execute(ctx, W, U, opts); err != nil {
-		root.SetAttr("error", err.Error())
-		root.End()
-		var perr *resilience.PanicError
-		if errors.As(err, &perr) || errors.Is(err, resilience.ErrStalled) {
-			rec.ReportCrash(op, tid, err)
-		}
-		return nil, err
-	}
-	flops := p.FlopsPerCol() * float64(W.Cols)
-	atomic.StoreInt64(&h.evalFlops, int64(flops))
-	secs := time.Since(start).Seconds()
-	if d := root.End(); d > 0 {
-		secs = d.Seconds()
-	}
-	h.noteEval(secs, flops)
-	if rec != nil {
-		rec.Counter(op + ".calls").Add(1)
-		rec.Counter(op + ".flops").Add(int64(flops))
-		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
-		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
-	}
-	return U, nil
 }

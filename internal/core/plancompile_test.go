@@ -167,12 +167,11 @@ func TestPlanRankZeroNodes(t *testing.T) {
 	}
 }
 
-// TestEvaluatorReplaysPlan checks the Evaluator delegation: with a plan
-// installed the evaluator is a thin replay handle that agrees with the
-// tree interpreter to 1e-13 (the replay uses beta-0 writes where the
-// interpreter zeroes then accumulates) and is bit-identical to itself
-// across replays.
-func TestEvaluatorReplaysPlan(t *testing.T) {
+// TestMatvecIntoReplaysPlan: with a plan installed, MatvecIntoCtx replays
+// it into the caller-owned output, agreeing with the tree interpreter to
+// 1e-13 (the replay uses beta-0 writes where the interpreter zeroes then
+// accumulates) and bit-identical to itself across replays.
+func TestMatvecIntoReplaysPlan(t *testing.T) {
 	cfg := planConfig()
 	cfg.Workspace = workspace.New()
 	h, _ := compressGauss(t, 256, cfg)
@@ -185,25 +184,20 @@ func TestEvaluatorReplaysPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := h.NewEvaluator(2)
-	defer ev.Close()
-	got := linalg.NewMatrix(256, 2)
-	ev.MatvecInto(W, got)
+	got := matvecInto(t, h, W)
 	if d := linalg.RelFrobDiff(got, want); d > 1e-13 {
-		t.Fatalf("plan-backed evaluator differs from interpreter by %g", d)
+		t.Fatalf("plan replay into a caller-owned output differs from interpreter by %g", d)
 	}
 	// Replays must be bit-identical to each other.
-	again := linalg.NewMatrix(256, 2)
-	ev.MatvecInto(W, again)
-	if !linalg.EqualApprox(got, again, 0) {
-		t.Fatal("evaluator replay not bit-identical")
+	if again := matvecInto(t, h, W); !linalg.EqualApprox(got, again, 0) {
+		t.Fatal("replay into a caller-owned output not bit-identical")
 	}
 }
 
-// TestEvaluatorWithoutPlanMatchesMatvec covers the uncached evaluator: with
-// no plan to replay it runs the interpreter and matches MatvecCtx bit for
-// bit.
-func TestEvaluatorWithoutPlanMatchesMatvec(t *testing.T) {
+// TestMatvecIntoWithoutPlanMatchesMatvec covers the uncached operator: with
+// no plan to replay MatvecIntoCtx runs the interpreter and matches
+// MatvecCtx bit for bit.
+func TestMatvecIntoWithoutPlanMatchesMatvec(t *testing.T) {
 	cfg := planConfig()
 	cfg.CacheBlocks = false
 	h, _ := compressGauss(t, 256, cfg)
@@ -216,9 +210,75 @@ func TestEvaluatorWithoutPlanMatchesMatvec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := h.NewEvaluator(3)
-	defer ev.Close()
-	if got := ev.Matvec(W); !linalg.EqualApprox(got, want, 0) {
-		t.Fatalf("uncached evaluator differs from MatvecCtx (max |Δ| = %g)", maxAbsDiff(got, want))
+	if got := matvecInto(t, h, W); !linalg.EqualApprox(got, want, 0) {
+		t.Fatalf("uncached MatvecIntoCtx differs from MatvecCtx (max |Δ| = %g)", maxAbsDiff(got, want))
+	}
+}
+
+// TestStaticFlopsMatchCompiledPlan pins the one flop count both engines
+// report: the symbolic count of an operator without a plan equals the
+// FlopsPerCol of the plan it compiles, and the interpreter's Stats carry
+// exactly that count times the width.
+func TestStaticFlopsMatchCompiledPlan(t *testing.T) {
+	for _, budget := range []float64{0, 0.05, 0.3} {
+		cfg := planConfig()
+		cfg.CacheBlocks = false
+		cfg.Budget = budget
+		h, _ := compressGauss(t, 256, cfg)
+		static := h.flopsPerCol() // no plan installed: the symbolic count
+		if static <= 0 {
+			t.Fatalf("budget %g: static flop count %g", budget, static)
+		}
+		rng := rand.New(rand.NewSource(17))
+		if _, err := h.InterpMatvecCtx(context.Background(), linalg.GaussianMatrix(rng, 256, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, flops := h.LastEval(); flops != 3*static {
+			t.Fatalf("budget %g: interpreter reported %g flops, want 3×%g", budget, flops, static)
+		}
+		p, err := h.CompilePlanCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.FlopsPerCol(); got != static {
+			t.Fatalf("budget %g: compiled plan counts %g flops per column, symbolic count %g", budget, got, static)
+		}
+	}
+}
+
+// TestEvaluationAllocs pins the allocation profile of the planned hot
+// path: MatvecIntoCtx on a Sequential, pooled operator allocates nothing in
+// steady state, and MatvecCtx allocates only its result matrix.
+func TestEvaluationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled replay bindings at random")
+	}
+	cfg := planConfig()
+	cfg.Workspace = workspace.New()
+	h, _ := compressGauss(t, 256, cfg)
+	if h.Plan() == nil {
+		t.Fatal("a CacheBlocks compression did not install a plan")
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(19))
+	W := linalg.GaussianMatrix(rng, 256, 4)
+	U := linalg.NewMatrix(256, 4)
+	into := func() {
+		if err := h.MatvecIntoCtx(ctx, W, U); err != nil {
+			t.Fatal(err)
+		}
+	}
+	into() // warm the replay binding for this width
+	if a := testing.AllocsPerRun(20, into); a != 0 {
+		t.Fatalf("MatvecIntoCtx: %g allocs/op, want 0", a)
+	}
+	result := testing.AllocsPerRun(20, func() { U = linalg.NewMatrix(256, 4) })
+	fresh := testing.AllocsPerRun(20, func() {
+		if _, err := h.MatvecCtx(ctx, W); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if fresh != result {
+		t.Fatalf("MatvecCtx: %g allocs/op, want only the %g of its result matrix", fresh, result)
 	}
 }

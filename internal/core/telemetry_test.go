@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"gofmm/internal/linalg"
@@ -168,5 +170,73 @@ func TestTelemetryNilRecorderIsInert(t *testing.T) {
 	}
 	if h.TelemetryReport() != "telemetry disabled\n" {
 		t.Fatalf("unexpected nil report: %q", h.TelemetryReport())
+	}
+}
+
+// TestTelemetryMatvecIntoCounts: caller-owned-output evaluations go through
+// the same envelope as MatvecCtx, so each one counts in matvec.calls.
+func TestTelemetryMatvecIntoCounts(t *testing.T) {
+	rec := telemetry.New()
+	h, _ := compressGauss(t, 300, Config{
+		LeafSize: 32, MaxRank: 32, Tol: 1e-7, Kappa: 8, Budget: 0.05,
+		Distance: Kernel, Exec: Sequential, Seed: 5, CacheBlocks: true,
+		Telemetry: rec,
+	})
+	rng := rand.New(rand.NewSource(7))
+	W := linalg.GaussianMatrix(rng, 300, 2)
+	U := linalg.NewMatrix(300, 2)
+	for i := 0; i < 3; i++ {
+		if err := h.MatvecIntoCtx(context.Background(), W, U); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := rec.Snapshot()
+	if got := snap.Counters["matvec.calls"]; got != 3 {
+		t.Fatalf("matvec.calls = %d after 3 MatvecIntoCtx calls, want 3", got)
+	}
+	if got, want := snap.Counters["matvec.flops"], int64(3*2*h.Plan().FlopsPerCol()); got != want {
+		t.Fatalf("matvec.flops = %d, want %d", got, want)
+	}
+}
+
+// TestTelemetryConcurrentInterpFlopsExact: concurrent interpreter calls
+// each account their own static count, so matmat.flops is exactly the sum
+// of FlopsPerCol()·r over every call, whatever the interleaving.
+func TestTelemetryConcurrentInterpFlopsExact(t *testing.T) {
+	rec := telemetry.New()
+	h, _ := compressGauss(t, 300, Config{
+		LeafSize: 32, MaxRank: 32, Tol: 1e-7, Kappa: 8, Budget: 0.05,
+		Distance: Kernel, Exec: Sequential, Seed: 5, CacheBlocks: true,
+		Telemetry: rec,
+	})
+	perCol := int64(h.Plan().FlopsPerCol())
+	const goroutines, calls = 8, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	var want int64
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < calls; i++ {
+			want += perCol * int64(1+(g+i)%4)
+		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < calls; i++ {
+				X := linalg.GaussianMatrix(rng, 300, 1+(g+i)%4)
+				if _, err := h.InterpMatmatCtx(context.Background(), X); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := rec.Snapshot().Counters["matmat.flops"]; got != want {
+		t.Fatalf("matmat.flops = %d, want Σ FlopsPerCol()·r = %d", got, want)
 	}
 }

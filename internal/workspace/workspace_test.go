@@ -30,19 +30,27 @@ func TestGetZeroedAndSized(t *testing.T) {
 }
 
 func TestPoolReusesBuffers(t *testing.T) {
+	// sync.Pool may drop any Put (the race runtime does so at random), so
+	// reuse is a property of a bounded loop, not of one Put/Get pair.
 	p := New()
-	a := p.Get(1000)
-	p.Put(a)
-	b := p.Get(900) // same class (1024): must be the recycled buffer
-	if &a[0] != &b[0] {
-		t.Fatalf("expected buffer reuse within a size class")
+	const maxRounds = 64
+	rounds, reused := 0, false
+	for rounds < maxRounds && !reused {
+		a := p.Get(1000)
+		p.Put(a)
+		b := p.Get(900) // same class (1024): the recycled buffer when kept
+		reused = &a[0] == &b[0]
+		rounds++
+	}
+	if !reused {
+		t.Fatalf("no buffer reuse within a size class in %d Put/Get rounds", rounds)
 	}
 	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Returns != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 return", st)
+	if st.Hits < 1 || st.Hits+st.Misses != int64(2*rounds) || st.Returns != int64(rounds) {
+		t.Fatalf("stats = %+v after %d rounds, want ≥1 hit, %d gets, %d returns", st, rounds, 2*rounds, rounds)
 	}
-	if st.BytesReused != 1024*8 {
-		t.Fatalf("BytesReused = %d, want %d", st.BytesReused, 1024*8)
+	if st.BytesReused != st.Hits*1024*8 {
+		t.Fatalf("BytesReused = %d, want %d per hit", st.BytesReused, 1024*8)
 	}
 }
 
@@ -86,20 +94,27 @@ func TestNilPoolDegradesToAlloc(t *testing.T) {
 }
 
 func TestScopeReleaseAndKeep(t *testing.T) {
+	// Whether sync.Pool hands a returned buffer back out is not part of the
+	// contract (the race runtime drops Puts at random); what the scope
+	// returns is, and Stats().Returns counts it.
 	p := New()
 	s := p.NewScope()
-	A := s.Matrix(40, 40)
+	s.Matrix(40, 40) // A: released with the scope
 	B := s.Matrix(40, 40)
 	s.Keep(B)
 	s.Release()
-	// A went back to the pool; the next same-class request must reuse it.
-	C := p.GetMatrix(40, 40)
-	if &C.Data[0] != &A.Data[0] {
-		t.Fatalf("scope release did not return matrix to pool")
+	if got := p.Stats().Returns; got != 1 {
+		t.Fatalf("Returns = %d after Release, want 1 (A only, not the kept B)", got)
 	}
-	// B was kept: its storage must be distinct from anything pooled.
-	if &B.Data[0] == &C.Data[0] {
-		t.Fatalf("kept matrix was recycled")
+	s.Release() // the scope is empty now: A is not returned twice
+	if got := p.Stats().Returns; got != 1 {
+		t.Fatalf("Returns = %d after a second Release, want 1", got)
+	}
+	only := p.NewScope()
+	only.Keep(only.Matrix(40, 40))
+	only.Release()
+	if got := p.Stats().Returns; got != 1 {
+		t.Fatalf("Returns = %d after releasing a scope whose only matrix was kept, want 1", got)
 	}
 }
 
